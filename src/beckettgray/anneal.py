@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import TransitionSequence
@@ -74,14 +74,6 @@ class CompletionResult:
     nodes: int = 0
 
 
-def _replay(n: int, symbols: list[int]) -> SearchState:
-    state = SearchState(n)
-    for s in symbols:
-        if not state.push(s):
-            raise ValueError("sequence is not Beckett-consistent")
-    return state
-
-
 def _grow_random(state: SearchState, rng: random.Random, stop_at: int) -> None:
     """Extend with uniformly random valid transitions until stuck."""
     while len(state.seq) < stop_at:
@@ -114,13 +106,20 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
             if cur_len >= target:
                 break
             cut = rng.randint(1, min(config.max_backtrack_cut, max(cur_len, 1)))
-            proposal = _replay(n, current.seq[: max(0, cur_len - cut)])
-            _grow_random(proposal, rng, target)
-            new_len = len(proposal.seq)
-            if new_len >= cur_len or rng.random() < math.exp(
+            keep = max(0, cur_len - cut)
+            suffix = current.seq[keep:]
+            while len(current.seq) > keep:
+                current.pop()
+            _grow_random(current, rng, target)
+            new_len = len(current.seq)
+            if new_len < cur_len and rng.random() >= math.exp(
                 (new_len - cur_len) / temperature
             ):
-                current = proposal
+                # rejected: restore the suffix that was cut
+                while len(current.seq) > keep:
+                    current.pop()
+                for p in suffix:
+                    current.push(p)
             if len(current.seq) > len(best):
                 best = list(current.seq)
                 if len(best) >= stop_len:
@@ -150,38 +149,14 @@ def complete_backtrack(
         # the prefix itself revisits a word or breaks the queue discipline
         return CompletionResult(found=None, proven_impossible=True)
     result = CompletionResult(found=None, proven_impossible=False)
-
-    def dfs() -> bool:
+    for depth in state.walk(target, restricted_growth=False):
         result.nodes += 1
         if budget is not None and result.nodes > budget:
-            raise TimeoutError
-        depth = len(state.seq)
-        if depth == target:
-            if mode == "cyclic" or state.visited_count == (1 << n):
-                result.found = state.sequence()
-                return True
-            return False
-        if depth > target:
-            return False
-        for p in state.children(restricted_growth=False):
-            saved = (state.word, state.visited, state.visited_count, state.used)
-            popped_front = state.queue[0] if state.word >> p & 1 else None
-            state.push(p)
-            if dfs():
-                return True
-            state.seq.pop()
-            if popped_front is None:
-                state.queue.pop()
-            else:
-                state.queue.insert(0, popped_front)
-            state.word, state.visited, state.visited_count, state.used = saved
-        return False
-
-    try:
-        found = dfs()
-        result.proven_impossible = not found
-    except TimeoutError:
-        pass
+            return result
+        if depth == target and (mode == "cyclic" or state.visited_count == (1 << n)):
+            result.found = state.sequence()
+            return result
+    result.proven_impossible = True
     return result
 
 
@@ -196,15 +171,8 @@ def hunt(config: AnnealConfig) -> HuntResult:
     base = config.rng_seed
     for attempt in range(config.restarts):
         seed = base * 1_000_003 + attempt
-        attempt_config = AnnealConfig(
-            n=config.n,
-            mode=config.mode,
-            initial_temperature=config.initial_temperature,
-            cooling_factor=config.cooling_factor,
-            steps_per_temperature=config.steps_per_temperature,
-            max_backtrack_cut=config.max_backtrack_cut,
-            seed_handoff_length=config.seed_handoff_length,
-            completion_budget=config.completion_budget,
+        attempt_config = replace(
+            config,
             restarts=1,
             rng_seed=seed,
             target_length=config.target_length or config.handoff,

@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import GrayKind, TransitionSequence, classify_gray
+from .core import TransitionSequence
 
 QueueState = tuple[int, ...]
 
@@ -87,20 +87,18 @@ def classify_beckett(seq: TransitionSequence) -> BeckettClassification:
     A word repeat is reported as not-gray even when a queue violation
     occurs at the same step.
     """
-    n = seq.n
-    total = 1 << n
+    total = 1 << seq.n
+    last = len(seq) - 1
     word = 0
-    visited = 1
-    count = 1
+    visited = bytearray(total)  # one flag per word
+    visited[0] = 1
     queue: list[int] = []
     for i, p in enumerate(seq.symbols):
         new = word ^ (1 << p)
-        if visited >> new & 1:
-            closing = (
-                new == 0 and i == len(seq) - 1 and len(seq) == total and count == total
-            )
-            if not closing:
-                return BeckettClassification(BeckettKind.NOT_GRAY, repeat_index=i)
+        # each earlier step visited a new word, so a revisit of the all-zero
+        # word at the last of 2^n steps closes a cycle
+        if visited[new] and not (new == 0 and i == last == total - 1):
+            return BeckettClassification(BeckettKind.NOT_GRAY, repeat_index=i)
         if word >> p & 1:
             if not queue or queue[0] != p:
                 front = queue[0] if queue else -1
@@ -111,12 +109,9 @@ def classify_beckett(seq: TransitionSequence) -> BeckettClassification:
         else:
             queue.append(p)
         word = new
-        if not visited >> new & 1:
-            visited |= 1 << new
-            count += 1
-    gray = classify_gray(seq)
-    if gray.kind is GrayKind.CYCLIC:
+        visited[new] = 1
+    if last == total - 1:
         return BeckettClassification(BeckettKind.CYCLIC)
-    if gray.kind is GrayKind.OPEN:
+    if last == total - 2:
         return BeckettClassification(BeckettKind.OPEN)
     return BeckettClassification(BeckettKind.INCOMPLETE)

@@ -13,7 +13,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Iterable, Optional
 
 from . import anneal as anneal_mod
@@ -131,15 +131,11 @@ def _cmd_enumerate(args) -> int:
         depth = args.depth or 4
         shards = split_prefixes(args.n, depth)
         done = _read_checkpoint(args.out) if args.out else set()
-        pending = []
-        for shard in shards:
-            cfg = SearchConfig(
-                n=args.n, mode=mode, prefix=shard.prefix,
-                node_limit=args.node_limit, time_limit=args.time_limit,
-                emit=base.emit,
-            )
-            if str(cfg.prefix) not in done:
-                pending.append(cfg)
+        pending = [
+            replace(base, prefix=shard.prefix)
+            for shard in shards
+            if str(shard.prefix) not in done
+        ]
         total = EnumerationReport(n=args.n, mode=mode)
         emit_line(f"n={args.n} mode={mode}")
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -125,20 +125,20 @@ def classify_gray(seq: TransitionSequence) -> GrayClassification:
     A revisit of the all-zero word is legal only as the very last step of
     a full-length sequence, where it closes a cycle.
     """
-    n = seq.n
-    total = 1 << n
+    total = 1 << seq.n
+    last = len(seq) - 1
     w = 0
-    visited = 1  # bitmap over words; bit 0 = all-zero word
-    count = 1
+    visited = bytearray(total)  # one flag per word
+    visited[0] = 1
     for i, s in enumerate(seq.symbols):
         w ^= 1 << s
-        if visited >> w & 1:
-            if w == 0 and i == len(seq) - 1 and len(seq) == total and count == total:
+        if visited[w]:
+            # each earlier step visited a new word, so i + 1 words are seen
+            if w == 0 and i == last == total - 1:
                 return GrayClassification(GrayKind.CYCLIC)
             return GrayClassification(GrayKind.INVALID, repeat_index=i)
-        visited |= 1 << w
-        count += 1
-    if len(seq) == total - 1 and count == total:
+        visited[w] = 1
+    if last == total - 2:
         return GrayClassification(GrayKind.OPEN)
     return GrayClassification(GrayKind.INCOMPLETE)
 

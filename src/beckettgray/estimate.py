@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .search import SearchConfig, SearchState, enumerate_beckett
 
@@ -73,16 +73,7 @@ def exact_tree_size(config: SearchConfig, budget_override: bool = False) -> int:
     """Exact node count of the pruned tree (ground truth for the estimator)."""
     if config.n > 5 and not budget_override:
         raise ValueError("exact count beyond n=5 needs an explicit budget override")
-    report = enumerate_beckett(
-        SearchConfig(
-            n=config.n,
-            mode=config.mode,
-            prefix=config.prefix,
-            node_limit=config.node_limit,
-            time_limit=config.time_limit,
-            emit="count-only",
-        )
-    )
+    report = enumerate_beckett(replace(config, emit="count-only"))
     if report.truncated:
         raise RuntimeError("exact tree count truncated by budget")
     return report.nodes_visited

@@ -12,18 +12,17 @@ isomorphs are rejected at completion time.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
-from .canonical import relabel_first_occurrence, reverse_seq
+from .canonical import canonicalize
 from .core import TransitionSequence, WordPath
 
-Sink = Callable[[str, TransitionSequence], None]
-
-
-class TruncatedSearchError(RuntimeError):
-    """A budgeted search ran out before completing."""
+# a string reference: typing caches parametrized aliases, and one holding
+# the class itself would keep every re-imported copy of the package alive
+Sink = Callable[[str, "TransitionSequence"], None]
 
 
 @dataclass(frozen=True)
@@ -70,17 +69,28 @@ class EnumerationReport:
         )
 
 
-@dataclass
 class SearchState:
-    """Mutable DFS state; replayable from any Beckett-consistent prefix."""
+    """Undo-able DFS state; replayable from any Beckett-consistent prefix.
 
-    n: int
-    word: int = 0
-    visited: int = 1  # bitmap over words
-    visited_count: int = 1
-    queue: list[int] = field(default_factory=list)
-    used: int = 0  # distinct symbols used so far (restricted growth frontier)
-    seq: list[int] = field(default_factory=list)
+    The queue is append-only: its live part is ``queue[head:]``, so a
+    dequeue is ``head += 1`` and its undo ``head -= 1``.  Every push logs
+    the previous ``used``, so ``pop`` restores the state exactly.
+    """
+
+    __slots__ = ("n", "word", "visited", "visited_count", "queue", "head", "used",
+                 "seq", "used_log")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.word = 0
+        self.visited = bytearray(1 << n)  # one flag per word
+        self.visited[0] = 1
+        self.visited_count = 1
+        self.queue: list[int] = []
+        self.head = 0
+        self.used = 0  # distinct symbols used so far (restricted growth frontier)
+        self.seq: list[int] = []
+        self.used_log: list[int] = []
 
     @classmethod
     def from_prefix(cls, n: int, prefix: Optional[TransitionSequence]) -> "SearchState":
@@ -98,66 +108,146 @@ class SearchState:
         """Legal next symbols in ascending order."""
         out = []
         word = self.word
-        limit = self.used + 1 if restricted_growth else self.n
-        front = self.queue[0] if self.queue else -1
-        full = self.visited_count == (1 << self.n)
-        for p in range(min(limit, self.n)):
+        visited = self.visited
+        front = self.queue[self.head] if self.head < len(self.queue) else -1
+        n = self.n
+        for p in range(self.used + 1 if restricted_growth and self.used < n else n):
             if word >> p & 1:
-                continue
-            if not self.visited >> (word | 1 << p) & 1:
+                # only the queue front may leave; back to 0 only to close a cycle
+                if p == front and (
+                    not visited[word ^ 1 << p]
+                    or (word == 1 << p and self.visited_count == len(visited))
+                ):
+                    out.append(p)
+            elif not visited[word | 1 << p]:
                 out.append(p)
-        if front >= 0:
-            new = word ^ (1 << front)
-            if (new == 0 and full) or not self.visited >> new & 1:
-                out.append(front)
-        out.sort()
         return out
 
     def push(self, p: int) -> bool:
         """Apply symbol ``p`` if legal (ignoring restricted growth); else False."""
         word = self.word
+        new = word ^ (1 << p)
         if word >> p & 1:
-            if not self.queue or self.queue[0] != p:
+            if self.head == len(self.queue) or self.queue[self.head] != p:
                 return False
-            new = word ^ (1 << p)
-            if self.visited >> new & 1 and not (
-                new == 0 and self.visited_count == (1 << self.n)
-            ):
-                return False
-            self.queue.pop(0)
-            self.word = new
-            if not self.visited >> new & 1:
-                self.visited |= 1 << new
+            if new:
+                if self.visited[new]:
+                    return False
+                self.visited[new] = 1
                 self.visited_count += 1
-        else:
-            new = word | (1 << p)
-            if self.visited >> new & 1:
+            elif self.visited_count != len(self.visited):
                 return False
-            self.queue.append(p)
-            self.word = new
-            self.visited |= 1 << new
+            self.head += 1
+        else:
+            if self.visited[new]:
+                return False
+            self.visited[new] = 1
             self.visited_count += 1
+            self.queue.append(p)
+        self.word = new
+        self.used_log.append(self.used)
         if p >= self.used:
             self.used = p + 1
         self.seq.append(p)
         return True
 
+    def pop(self) -> int:
+        """Undo the last ``push`` and return its symbol."""
+        p = self.seq.pop()
+        word = self.word
+        if word >> p & 1:  # undo an enqueue
+            self.queue.pop()
+            self.visited[word] = 0
+            self.visited_count -= 1
+        else:  # undo a dequeue; a closing dequeue to 0 visited nothing new
+            self.head -= 1
+            if word:
+                self.visited[word] = 0
+                self.visited_count -= 1
+        self.word = word ^ (1 << p)
+        self.used = self.used_log.pop()
+        return p
+
+    def walk(self, max_depth: int, restricted_growth: bool = True) -> Iterator[int]:
+        """Depth-first walk of the subtree below the current node.
+
+        Yields the depth of each node in lexicographic order, the current
+        node first, with the state set to that node.  Nodes at
+        ``max_depth`` are not expanded.  A walk that runs to its end
+        leaves the state at its starting node; one that is closed early
+        leaves it at the last node yielded.  The push and pop steps are
+        inlined, with the state's ints held in locals.
+        """
+        n = self.n
+        full = 1 << n
+        visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
+        word, head, used, count = self.word, self.head, self.used, self.visited_count
+        root = depth = len(seq)
+        # the symbols below each growth limit, descending, with their bits
+        scan = [[(p, 1 << p) for p in range(k - 1, -1, -1)] for k in range(n + 1)]
+        pending: list[list[int]] = []  # per open level: untried symbols, descending
+        try:
+            while True:
+                self.word, self.head, self.used, self.visited_count = word, head, used, count
+                yield depth
+                kids = []
+                if depth < max_depth:
+                    # one pass, descending, so that pop() returns ascending
+                    front = queue[head] if head < len(queue) else -1
+                    for p, b in scan[used + 1 if used < n and restricted_growth else n]:
+                        if word & b:
+                            if p == front and (
+                                not visited[word ^ b] or (word == b and count == full)
+                            ):
+                                kids.append(p)
+                        elif not visited[word | b]:
+                            kids.append(p)
+                if kids:
+                    pending.append(kids)
+                else:
+                    # climb to the nearest node with an untried symbol
+                    while True:
+                        if depth == root:
+                            return
+                        p = seq.pop()
+                        if word >> p & 1:
+                            queue.pop()
+                            visited[word] = 0
+                            count -= 1
+                        else:
+                            head -= 1
+                            if word:
+                                visited[word] = 0
+                                count -= 1
+                        word ^= 1 << p
+                        used = used_log.pop()
+                        depth -= 1
+                        kids = pending[-1]
+                        if kids:
+                            break
+                        pending.pop()
+                p = kids.pop()
+                if word >> p & 1:
+                    head += 1
+                    word ^= 1 << p
+                    if word:
+                        visited[word] = 1
+                        count += 1
+                else:
+                    queue.append(p)
+                    word |= 1 << p
+                    visited[word] = 1
+                    count += 1
+                used_log.append(used)
+                if p >= used:
+                    used = p + 1
+                seq.append(p)
+                depth += 1
+        finally:
+            self.word, self.head, self.used, self.visited_count = word, head, used, count
+
     def sequence(self) -> TransitionSequence:
         return TransitionSequence(self.n, tuple(self.seq))
-
-
-def _is_reversal_canonical(seq: TransitionSequence) -> bool:
-    """True when ``seq`` (already restricted-growth) is the class least.
-
-    The reversed relabeling only competes when it is itself a valid
-    zero-anchored Beckett code, i.e. appears elsewhere in this tree.
-    """
-    from .beckett import BeckettKind, classify_beckett
-
-    backward = relabel_first_occurrence(reverse_seq(seq))
-    if seq.symbols <= backward.symbols:
-        return True
-    return classify_beckett(backward).kind not in (BeckettKind.OPEN, BeckettKind.CYCLIC)
 
 
 def enumerate_beckett(
@@ -166,132 +256,85 @@ def enumerate_beckett(
     """Depth-first lexicographic enumeration; exact counts and node count.
 
     The tree itself is mode-independent; ``config.mode`` selects which
-    completions are counted and emitted.
+    completions are counted and emitted.  A prefix config reports only
+    its subtree; callers add the shallow nodes.
     """
     n = config.n
     total = 1 << n
     report = EnumerationReport(n=n, mode=config.mode)
-    want_cyclic = config.mode in ("cyclic", "both")
-    want_open = config.mode in ("open", "both")
+    wanted = {
+        "open": config.mode in ("open", "both"),
+        "cyclic": config.mode in ("cyclic", "both"),
+    }
+    if config.emit == "count-only":
+        sink = None
     deadline = None if config.time_limit is None else time.monotonic() + config.time_limit
     start = time.monotonic()
+    stop = math.inf if config.node_limit is None else config.node_limit + 1
+    check_at = 1  # the node count at which the budgets are next checked
 
     state = SearchState.from_prefix(n, config.prefix)
-    root_len = len(state.seq)
-
-    def emit(kind: str) -> None:
-        if sink is None or config.emit == "count-only":
-            return
-        sink(kind, state.sequence())
-
-    def visit() -> None:
-        report.nodes_visited += 1
-        if config.node_limit is not None and report.nodes_visited > config.node_limit:
-            raise TruncatedSearchError
-        if deadline is not None and report.nodes_visited % 4096 == 0:
-            if time.monotonic() > deadline:
-                raise TruncatedSearchError
-
-        depth = len(state.seq)
-        if depth == total - 1 and state.visited_count == total:
-            # open completion; the only possible child is the cyclic closure
-            seq = state.sequence()
-            canonical = _is_reversal_canonical(seq)
-            closable = state.word & (state.word - 1) == 0
-            if want_open:
-                if canonical:
-                    report.count_open_total += 1
-                    if not closable:
-                        report.count_open_strict += 1
-                    emit("open")
-                elif config.emit == "all-codes":
-                    emit("open")
-        elif depth == total:
-            seq = state.sequence()
-            if want_cyclic:
-                if _is_reversal_canonical(seq):
-                    report.count_cyclic += 1
-                    emit("cyclic")
-                elif config.emit == "all-codes":
-                    emit("cyclic")
-            return
-        for p in state.children():
-            saved = (state.word, state.visited, state.visited_count, state.used)
-            queue_snapshot = None
-            if state.word >> p & 1:
-                queue_snapshot = state.queue[0]
-            state.push(p)
-            visit()
-            # undo
-            state.seq.pop()
-            if queue_snapshot is None:
-                state.queue.pop()
+    nodes = 0
+    for depth in state.walk(total):
+        nodes += 1
+        if nodes == check_at:
+            if nodes == stop or (
+                deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline
+            ):
+                report.truncated = True
+                break
+            check_at = min(stop, nodes - nodes % 4096 + 4096)
+        if depth < total - 1:
+            continue
+        # every word is visited at depth 2^n - 1 (an open completion, whose
+        # only possible child is the cyclic closure) and at depth 2^n
+        kind = "open" if depth < total else "cyclic"
+        if not wanted[kind]:
+            continue
+        seq = state.sequence()
+        if canonicalize(seq) == seq:
+            if kind == "cyclic":
+                report.count_cyclic += 1
             else:
-                state.queue.insert(0, queue_snapshot)
-            state.word, state.visited, state.visited_count, state.used = saved
-
-    try:
-        visit()
-    except TruncatedSearchError:
-        report.truncated = True
+                report.count_open_total += 1
+                report.count_open_strict += state.word & (state.word - 1) != 0
+        elif config.emit != "all-codes":
+            continue
+        if sink is not None:
+            sink(kind, seq)
+    report.nodes_visited = nodes
     report.elapsed = time.monotonic() - start
-    # a prefix config reports only its subtree; callers add shallow nodes
-    del root_len
     return report
 
 
-def split_prefixes(n: int, depth: int) -> list[SearchConfig]:
-    """Configs whose prefixes are the surviving partial sequences of ``depth``.
-
-    The shard subtrees partition the set of nodes at depth >= ``depth``;
-    summing shard reports gives the unsplit code counts.
-    """
+def _split_depth(n: int, depth: int) -> int:
     if depth > 12:
         raise ValueError("split depth limited to 12")
-    frontier: list[SearchState] = [SearchState(n)]
-    for _ in range(depth):
-        nxt = []
-        for st in frontier:
-            for p in st.children():
-                child = SearchState(
-                    n=n,
-                    word=st.word,
-                    visited=st.visited,
-                    visited_count=st.visited_count,
-                    queue=list(st.queue),
-                    used=st.used,
-                    seq=list(st.seq),
-                )
-                child.push(p)
-                nxt.append(child)
-        frontier = nxt
+    # no code is shorter than the open length, so no code lies above it
+    return min(depth, (1 << n) - 1)
+
+
+def split_prefixes(n: int, depth: int) -> list[SearchConfig]:
+    """Configs whose prefixes are the tree nodes at ``depth``, in order.
+
+    The depth is capped at the open-code length ``2**n - 1``, so every
+    code lies in some shard; the shard subtrees partition the nodes at
+    and below the (capped) depth, and summing shard reports gives the
+    unsplit code counts.
+    """
+    depth = _split_depth(n, depth)
+    state = SearchState(n)
     return [
-        SearchConfig(n=n, prefix=st.sequence()) for st in frontier
+        SearchConfig(n=n, prefix=state.sequence())
+        for d in state.walk(depth)
+        if d == depth
     ]
 
 
 def count_shallow_nodes(n: int, depth: int) -> int:
-    """Number of tree nodes strictly above ``depth`` (for node-sum checks)."""
-    frontier: list[SearchState] = [SearchState(n)]
-    shallow = 0
-    for _ in range(depth):
-        shallow += len(frontier)
-        nxt = []
-        for st in frontier:
-            for p in st.children():
-                child = SearchState(
-                    n=n,
-                    word=st.word,
-                    visited=st.visited,
-                    visited_count=st.visited_count,
-                    queue=list(st.queue),
-                    used=st.used,
-                    seq=list(st.seq),
-                )
-                child.push(p)
-                nxt.append(child)
-        frontier = nxt
-    return shallow
+    """Number of tree nodes strictly above the (capped) split ``depth``."""
+    depth = _split_depth(n, depth)
+    return sum(d < depth for d in SearchState(n).walk(depth))
 
 
 def enumerate_gray_cycles_small(n: int) -> list[WordPath]:

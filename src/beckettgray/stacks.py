@@ -8,7 +8,7 @@ matching stack; a 1->0 flip must pop that stack's top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import WordPath, transitions_of
 
@@ -54,19 +54,15 @@ def brgc(n: int) -> WordPath:
     return WordPath(n, tuple(i ^ (i >> 1) for i in range(1 << n)))
 
 
-def two_stack_trace(path: WordPath) -> list[TwoStackState]:
-    """Replay a Gray path through the parity stacks; 1 + |transitions| states.
-
-    Raises PopNotTopError when a 1->0 flip does not hit its stack's top,
-    which means the path is not two-stack realizable.
-    """
+def _stack_steps(path: WordPath) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the live (even, odd) stacks before the first step and after each."""
     if path.words and path.words[0] != 0:
         raise ValueError("two-stack trace starts from the all-zero word")
     seq = transitions_of(path)
     even: list[int] = []
     odd: list[int] = []
     word = 0
-    states = [TwoStackState((), ())]
+    yield even, odd
     for i, p in enumerate(seq.symbols):
         stack = even if p % 2 == 0 else odd
         if word >> p & 1:
@@ -77,14 +73,23 @@ def two_stack_trace(path: WordPath) -> list[TwoStackState]:
         else:
             stack.append(p)
         word ^= 1 << p
-        states.append(TwoStackState(tuple(even), tuple(odd)))
-    return states
+        yield even, odd
+
+
+def two_stack_trace(path: WordPath) -> list[TwoStackState]:
+    """Replay a Gray path through the parity stacks; 1 + |transitions| states.
+
+    Raises PopNotTopError when a 1->0 flip does not hit its stack's top,
+    which means the path is not two-stack realizable.
+    """
+    return [TwoStackState(tuple(even), tuple(odd)) for even, odd in _stack_steps(path)]
 
 
 def is_two_stack_realizable(path: WordPath) -> tuple[bool, Optional[PopNotTop]]:
     """Whether the whole path survives the parity-stack discipline."""
     try:
-        two_stack_trace(path)
+        for _ in _stack_steps(path):
+            pass
     except PopNotTopError as e:
         return False, e.diagnostics
     return True, None

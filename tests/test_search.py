@@ -1,13 +1,26 @@
+import gc
+import importlib
 import itertools
+import random
+import sys
+import weakref
 
 import pytest
 
+from beckettgray.anneal import complete_backtrack
 from beckettgray.beckett import BeckettKind, classify_beckett
 from beckettgray.canonical import canonicalize
-from beckettgray.core import GrayKind, classify_gray, parse_symbols, transitions_of
+from beckettgray.core import (
+    GrayKind,
+    TransitionSequence,
+    classify_gray,
+    parse_symbols,
+    transitions_of,
+)
 from beckettgray.search import (
     SearchConfig,
     SearchState,
+    count_shallow_nodes,
     enumerate_beckett,
     enumerate_gray_cycles_small,
     split_prefixes,
@@ -97,16 +110,9 @@ class TestUnprunedOracle:
                 found.add(("cyclic", canonicalize(state.sequence()).symbols))
                 return
             for p in state.children(restricted_growth=False):
-                popped = state.queue[0] if state.word >> p & 1 else None
-                saved = (state.word, state.visited, state.visited_count, state.used)
                 state.push(p)
                 dfs(state)
-                state.seq.pop()
-                if popped is None:
-                    state.queue.pop()
-                else:
-                    state.queue.insert(0, popped)
-                state.word, state.visited, state.visited_count, state.used = saved
+                state.pop()
 
         dfs(SearchState(n))
         _, codes = run(n)
@@ -133,6 +139,25 @@ class TestSplitPrefixes:
         assert merged.count_cyclic == whole.count_cyclic == 8
         assert merged.count_open_total == whole.count_open_total
         assert merged.count_open_strict == whole.count_open_strict
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_depth_matches_unsplit_run(self, n):
+        # codes shorter than the requested depth must still land in a shard
+        whole, whole_codes = run(n)
+        for depth in range(min(2**n, 12) + 1):
+            merged, codes = None, []
+            for cfg in split_prefixes(n, depth):
+                shard = enumerate_beckett(
+                    SearchConfig(n, "both", prefix=cfg.prefix),
+                    lambda k, s: codes.append((k, s)),
+                )
+                merged = shard if merged is None else merged.merge(shard)
+            counts = (merged.count_cyclic, merged.count_open_total, merged.count_open_strict)
+            assert counts == (
+                whole.count_cyclic, whole.count_open_total, whole.count_open_strict
+            ), depth
+            assert codes == whole_codes, depth
+            assert count_shallow_nodes(n, depth) + merged.nodes_visited == whole.nodes_visited
 
     def test_prefix_must_be_consistent(self):
         with pytest.raises(ValueError):
@@ -174,3 +199,111 @@ class TestBudgets:
         report = enumerate_beckett(SearchConfig(5, node_limit=1000, emit="count-only"))
         assert report.truncated
         assert report.nodes_visited <= 1001
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _snapshot(state):
+    return (
+        state.word, bytes(state.visited), state.visited_count,
+        state.queue[state.head:], state.used, list(state.seq),
+    )
+
+
+class TestUndoKernel:
+    def test_pop_restores_every_field(self):
+        rng = random.Random(7)
+        for n in (3, 4, 5):
+            state, snapshots = SearchState(n), []
+            while True:
+                children = state.children(restricted_growth=False)
+                if not children:
+                    break
+                snapshots.append(_snapshot(state))
+                assert state.push(rng.choice(children))
+                replayed = SearchState.from_prefix(n, state.sequence())
+                assert _snapshot(replayed) == _snapshot(state)
+            while snapshots:
+                state.pop()
+                assert _snapshot(state) == snapshots.pop()
+
+    def test_walk_returns_to_its_start(self):
+        state = SearchState.from_prefix(4, parse_symbols(4, "0102"))
+        before = _snapshot(state)
+        assert sum(1 for _ in state.walk(16)) == enumerate_beckett(
+            SearchConfig(4, prefix=state.sequence())
+        ).nodes_visited
+        assert _snapshot(state) == before
+
+    def test_walk_closed_early_stays_at_last_node(self):
+        state = SearchState(3)
+        walk = state.walk(8)
+        for depth in walk:
+            if depth == 5:
+                break
+        walk.close()
+        assert _snapshot(state) == _snapshot(SearchState.from_prefix(3, state.sequence()))
+        assert len(state.seq) == 5
+
+    def test_walk_order_is_children_order(self):
+        # the inlined step must agree with children()/push() node for node
+        def recursive(state, out):
+            out.append(tuple(state.seq))
+            for p in state.children():
+                state.push(p)
+                recursive(state, out)
+                state.pop()
+
+        expected = []
+        recursive(SearchState(4), expected)
+        state = SearchState(4)
+        assert [tuple(state.seq) for _ in state.walk(16)] == expected
+
+
+class TestIterativeSearch:
+    def test_deep_searches_need_no_recursion(self):
+        code = parse_symbols(5, "01020132010432104342132340412304")
+        prefix = TransitionSequence(5, code.symbols[:8])
+        expected_report = enumerate_beckett(SearchConfig(5, prefix=prefix, emit="count-only"))
+        expected_completion = complete_backtrack(TransitionSequence(5, code.symbols[:4]))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 20)
+        try:
+            report = enumerate_beckett(SearchConfig(5, prefix=prefix, emit="count-only"))
+            completion = complete_backtrack(TransitionSequence(5, code.symbols[:4]))
+        finally:
+            sys.setrecursionlimit(old)
+        report.elapsed = expected_report.elapsed
+        assert report == expected_report
+        assert report.count_cyclic >= 1
+        assert completion == expected_completion
+        assert completion.found is not None
+
+
+def test_reimported_package_is_freed():
+    # typing caches parametrized aliases; one holding a package class would
+    # keep every re-imported copy of the package alive
+    def package_modules():
+        return {
+            name: module for name, module in sys.modules.items()
+            if name == "beckettgray" or name.startswith("beckettgray.")
+        }
+
+    in_use = package_modules()
+    try:
+        for name in in_use:
+            del sys.modules[name]
+        fresh = importlib.import_module("beckettgray")
+        freed = weakref.ref(fresh.core.TransitionSequence)
+        del fresh
+    finally:
+        for name in package_modules():
+            del sys.modules[name]
+        sys.modules.update(in_use)
+    gc.collect()
+    assert freed() is None
