@@ -3,13 +3,13 @@
 Beckett canonicalization quotients by bit-position relabeling and by
 reversal only; XOR-ing a fixed word onto every code word can destroy the
 queue discipline, so word addition never appears in Beckett witnesses.
-The self-reverse checker for general cyclic Gray codes does search word
-additions (optionally) and rotations.
+The self-reverse checker for general cyclic Gray codes allows a rotation
+and, optionally, an added word; it searches no relabelings, because each
+rotation forces the relabeling through the transition strings.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,8 +20,6 @@ from .core import (
     classify_gray,
     transitions_of,
 )
-
-SELF_REVERSE_MAX_BITS = 8
 
 
 class IncompleteAlphabetError(ValueError):
@@ -86,12 +84,17 @@ def canonicalize(seq: TransitionSequence) -> TransitionSequence:
 
 
 def _match_relabeling(
-    a: tuple[int, ...], b: tuple[int, ...], n: int
+    a: tuple[int, ...], b: tuple[int, ...], n: int, shift: int = 0
 ) -> Optional[tuple[int, ...]]:
-    """Find rho with rho[a[i]] == b[i] for all i, or None."""
+    """Find rho with rho[a[i]] == b[(i + shift) % len(b)] for all i, or None.
+
+    Every position 0..n-1 must occur in ``a``, so a match defines all of rho.
+    """
     rho: list[int] = [-1] * n
     used = [False] * n
-    for x, y in zip(a, b):
+    size = len(b)
+    for i, x in enumerate(a):
+        y = b[(i + shift) % size]
         if rho[x] == -1:
             if used[y]:
                 return None
@@ -99,8 +102,6 @@ def _match_relabeling(
             used[y] = True
         elif rho[x] != y:
             return None
-    if -1 in rho:
-        return None
     return tuple(rho)
 
 
@@ -126,54 +127,39 @@ def are_isomorphic_beckett(
     return None
 
 
-def _cyclic_words(path: WordPath) -> list[int]:
-    """Validate a complete cyclic Gray code and return one period of words."""
+def _cyclic_transitions(path: WordPath) -> TransitionSequence:
+    """Validate a complete cyclic Gray code and return its transitions."""
     seq = transitions_of(path)
     if path.words[0] != 0:
         raise ValueError("cyclic word path must be anchored at the all-zero word")
     if classify_gray(seq).kind is not GrayKind.CYCLIC:
         raise ValueError("word path is not a complete cyclic Gray code")
-    return list(path.words[:-1])
+    return seq
 
 
 def self_reverse_witness(
     path: WordPath, allow_addition: bool
 ) -> Optional[IsomorphismWitness]:
-    """Search for an isomorphism taking a cyclic Gray code to its reversal.
+    """Find an isomorphism taking a cyclic Gray code to its reversal.
 
-    Tries every bit relabeling (lexicographic order) and every rotation
-    (ascending); the added word, when permitted, is forced by the first
-    aligned pair, so it is derived rather than enumerated.
+    With ``rev[j] == cycle[-j]``, a map ``rho(cycle[i]) ^ added == rev[i + r]``
+    (indices mod the cycle size) sends each transition ``t[i]`` of the cycle
+    to the transition ``u[i + r]`` of the reversal, and ``cycle[0] == 0``
+    forces ``added == rev[r]``.  So each rotation ``r`` forces the relabeling,
+    read off by matching the transition strings, and the added word; without
+    addition only ``r == 0`` has ``rev[r] == 0``.  Of all matching rotations
+    the witness has the lexicographically least ``rho``, then the least ``r``.
     """
-    n = path.n
-    if n > SELF_REVERSE_MAX_BITS:
-        raise ValueError(f"self-reverse search limited to n <= {SELF_REVERSE_MAX_BITS}")
-    cycle = _cyclic_words(path)
-    size = len(cycle)
-    rev = [cycle[(-i) % size] for i in range(size)]
-    for perm in itertools.permutations(range(n)):
-        table = [0] * size
-        for w in range(size):
-            img = 0
-            for p in range(n):
-                if w >> p & 1:
-                    img |= 1 << perm[p]
-            table[w] = img
-        for r in range(size):
-            # rho(cycle[0]) == rho(0) == 0, so the added word is rev[r]
-            added = rev[r]
-            if added and not allow_addition:
-                continue
-            ok = True
-            for i in range(size):
-                if table[cycle[i]] ^ added != rev[(i + r) % size]:
-                    ok = False
-                    break
-            if ok:
-                return IsomorphismWitness(
-                    rho=perm,
-                    reversed=True,
-                    added_word=added if added else None,
-                    rotation=r,
-                )
-    return None
+    t = _cyclic_transitions(path).symbols
+    size = len(t)
+    u = t[::-1]  # u[j] is the bit flipped between rev[j] and rev[j + 1]
+    best: Optional[tuple[tuple[int, ...], int]] = None
+    for r in range(size if allow_addition else 1):
+        rho = _match_relabeling(t, u, path.n, r)
+        if rho is not None and (best is None or rho < best[0]):
+            best = (rho, r)
+    if best is None:
+        return None
+    rho, r = best
+    added = path.words[-r % size]  # rev[r]
+    return IsomorphismWitness(rho=rho, reversed=True, added_word=added or None, rotation=r)

@@ -30,6 +30,7 @@ from .fixtures import self_check
 from .search import (
     EnumerationReport,
     SearchConfig,
+    count_shallow_nodes,
     enumerate_beckett,
     split_prefixes,
 )
@@ -98,13 +99,29 @@ def _run_shard(config: SearchConfig) -> tuple[str, EnumerationReport, list[tuple
     return prefix, report, emitted
 
 
-def _read_checkpoint(path: str) -> set[str]:
-    done = set()
-    if os.path.exists(path):
-        with open(path) as fp:
-            for line in fp:
-                if line.startswith("shard="):
-                    done.add(line.split()[0].split("=", 1)[1])
+# checkpoint line field -> EnumerationReport field
+_SHARD_FIELDS = {"cyclic": "count_cyclic", "open_total": "count_open_total",
+                 "open_strict": "count_open_strict", "nodes": "nodes_visited"}
+
+
+def _shard_line(prefix: str, report: EnumerationReport) -> str:
+    counts = " ".join(f"{k}={getattr(report, f)}" for k, f in _SHARD_FIELDS.items())
+    return f"shard={prefix} {counts} truncated={report.truncated}"
+
+
+def _read_checkpoint(path: str, n: int, mode: str) -> dict[str, EnumerationReport]:
+    """The latest untruncated shard report per prefix recorded for this search."""
+    done: dict[str, EnumerationReport] = {}
+    header = None
+    with open(path) as fp:
+        for line in fp:
+            if line.startswith("n="):
+                header = line.split()
+            elif line.startswith("shard=") and header == [f"n={n}", f"mode={mode}"]:
+                f = dict(field.split("=", 1) for field in line.split())
+                if f["truncated"] == "False":
+                    counts = {v: int(f[k]) for k, v in _SHARD_FIELDS.items()}
+                    done[f["shard"]] = EnumerationReport(n=n, mode=mode, **counts)
     return done
 
 
@@ -130,24 +147,21 @@ def _cmd_enumerate(args) -> int:
     if args.jobs > 1 or args.depth:
         depth = args.depth or 4
         shards = split_prefixes(args.n, depth)
-        done = _read_checkpoint(args.out) if args.out else set()
-        pending = [
-            replace(base, prefix=shard.prefix)
-            for shard in shards
-            if str(shard.prefix) not in done
-        ]
-        total = EnumerationReport(n=args.n, mode=mode)
+        done = _read_checkpoint(args.out, args.n, mode) if args.out else {}
+        shallow = count_shallow_nodes(args.n, depth)  # the nodes above every shard
+        total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow)
+        pending = []
+        for shard in shards:
+            if str(shard.prefix) in done:
+                total = total.merge(done[str(shard.prefix)])
+            else:
+                pending.append(replace(base, prefix=shard.prefix))
         emit_line(f"n={args.n} mode={mode}")
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for prefix_str, report, emitted in pool.map(_run_shard, pending):
                 for kind, text in emitted:
                     emit_line(text)
-                emit_line(
-                    f"shard={prefix_str} cyclic={report.count_cyclic} "
-                    f"open_total={report.count_open_total} "
-                    f"open_strict={report.count_open_strict} "
-                    f"nodes={report.nodes_visited} truncated={report.truncated}"
-                )
+                emit_line(_shard_line(prefix_str, report))
                 total = total.merge(report)
         report = total
     else:

@@ -13,7 +13,8 @@ from beckettgray.canonical import (
     reverse_seq,
     self_reverse_witness,
 )
-from beckettgray.core import TransitionSequence, WordPath, parse_symbols
+from beckettgray.core import TransitionSequence, WordPath, apply_transitions, parse_symbols
+from beckettgray.fixtures import load_fixtures
 from beckettgray.search import SearchConfig, enumerate_beckett, enumerate_gray_cycles_small
 from beckettgray.stacks import brgc
 
@@ -22,6 +23,27 @@ def relabel_oracle(n, symbols):
     return min(
         tuple(perm[s] for s in symbols) for perm in itertools.permutations(range(n))
     )
+
+
+def self_reverse_oracle(path, allow_addition):
+    """Brute force: every relabeling (lexicographic), then every rotation."""
+    n = path.n
+    cycle = path.words[:-1]
+    size = len(cycle)
+    rev = [cycle[(-i) % size] for i in range(size)]
+    for perm in itertools.permutations(range(n)):
+        image = [sum(1 << perm[p] for p in range(n) if w >> p & 1) for w in cycle]
+        for r in range(size):
+            added = rev[r]
+            if added and not allow_addition:
+                continue
+            if all(image[i] ^ added == rev[(i + r) % size] for i in range(size)):
+                return perm, r, added or None
+    return None
+
+
+def closed_brgc(n):
+    return WordPath(n, brgc(n).words + (0,))
 
 
 def collect(n, mode="both"):
@@ -161,6 +183,29 @@ class TestSelfReverse:
     def test_one_bit_cycle_self_reverse_without_addition(self):
         path = WordPath(1, (0, 1, 0))
         assert self_reverse_witness(path, allow_addition=False) is not None
+
+    def test_witness_matches_brute_force_oracle(self):
+        cycles = [c for n in (1, 2, 3, 4) for c in enumerate_gray_cycles_small(n)]
+        cycles += [closed_brgc(n) for n in range(1, 8)]
+        cycles += [
+            apply_transitions(0, f.seq)
+            for f in load_fixtures()
+            if f.mode == "cyclic" and f.n <= 7
+        ]
+        for path in cycles:
+            for allow in (False, True):
+                w = self_reverse_witness(path, allow_addition=allow)
+                got = None if w is None else (w.rho, w.rotation, w.added_word)
+                assert got == self_reverse_oracle(path, allow), (path, allow)
+                assert w is None or w.reversed
+
+    def test_brgc_past_eight_bits(self):
+        for n in (10, 12):
+            path = closed_brgc(n)
+            assert self_reverse_witness(path, allow_addition=False) is None
+            w = self_reverse_witness(path, allow_addition=True)
+            assert w is not None
+            assert w.added_word == 1 << (n - 1)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,26 @@ class TestEnumerate:
 
         assert codes(serial) == codes(parallel)
 
+    def test_sharded_report_counts_nodes_above_the_split(self):
+        for n, depth, nodes in (("2", "4", 5), ("5", "10", 537_326)):
+            r = run_cli("enumerate", "-n", n, "--depth", depth, "--count-only")
+            assert f"nodes_visited={nodes} " in r.stdout.splitlines()[-1]
+
+    def test_resume_reruns_truncated_shards_and_merges_the_checkpoint(self, tmp_path):
+        out = str(tmp_path / "run.txt")
+        args = ("enumerate", "-n", "4", "--depth", "3", "--count-only", "--out", out)
+        first = run_cli(*args, "--node-limit", "5")
+        assert first.returncode == 3
+        # the second run does every shard again; the third runs none and
+        # reports the shards recorded in the file
+        for _ in range(2):
+            r = run_cli(*args)
+            assert r.returncode == 0
+            last = r.stdout.splitlines()[-1]
+            for field in ("count_open_total=4", "count_open_strict=4",
+                          "nodes_visited=263", "truncated=False"):
+                assert field in last.split()
+
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")
         assert "0102101" in r.stdout
