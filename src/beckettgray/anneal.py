@@ -74,15 +74,6 @@ class CompletionResult:
     nodes: int = 0
 
 
-def _grow_random(state: SearchState, rng: random.Random, stop_at: int) -> None:
-    """Extend with uniformly random valid transitions until stuck."""
-    while len(state.seq) < stop_at:
-        children = state.children(restricted_growth=False)
-        if not children:
-            return
-        state.push(rng.choice(children))
-
-
 def anneal_partial(config: AnnealConfig) -> TransitionSequence:
     """Grow a long Beckett-consistent partial sequence by annealing.
 
@@ -96,7 +87,7 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
     stop_len = config.target_length or target
 
     current = SearchState(n)
-    _grow_random(current, rng, target)
+    current.descend(rng, target, restricted_growth=False)
     best = list(current.seq)
 
     temperature = config.initial_temperature
@@ -110,7 +101,7 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
             suffix = current.seq[keep:]
             while len(current.seq) > keep:
                 current.pop()
-            _grow_random(current, rng, target)
+            current.descend(rng, target, restricted_growth=False)
             new_len = len(current.seq)
             if new_len < cur_len and rng.random() >= math.exp(
                 (new_len - cur_len) / temperature

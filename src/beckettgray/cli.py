@@ -101,7 +101,8 @@ def _run_shard(config: SearchConfig) -> tuple[str, EnumerationReport, list[tuple
 
 # checkpoint line field -> EnumerationReport field
 _SHARD_FIELDS = {"cyclic": "count_cyclic", "open_total": "count_open_total",
-                 "open_strict": "count_open_strict", "nodes": "nodes_visited"}
+                 "open_strict": "count_open_strict", "nodes": "nodes_visited",
+                 "elapsed": "elapsed"}
 
 
 def _shard_line(prefix: str, report: EnumerationReport) -> str:
@@ -119,8 +120,10 @@ def _read_checkpoint(path: str, n: int, mode: str) -> dict[str, EnumerationRepor
                 header = line.split()
             elif line.startswith("shard=") and header == [f"n={n}", f"mode={mode}"]:
                 f = dict(field.split("=", 1) for field in line.split())
+                f.setdefault("elapsed", "0.0")  # lines written before it was recorded
                 if f["truncated"] == "False":
-                    counts = {v: int(f[k]) for k, v in _SHARD_FIELDS.items()}
+                    counts = {v: (float if k == "elapsed" else int)(f[k])
+                              for k, v in _SHARD_FIELDS.items()}
                     done[f["shard"]] = EnumerationReport(n=n, mode=mode, **counts)
     return done
 
@@ -146,9 +149,9 @@ def _cmd_enumerate(args) -> int:
 
     if args.jobs > 1 or args.depth:
         depth = args.depth or 4
-        shards = split_prefixes(args.n, depth)
+        shards = split_prefixes(args.n, depth, prefix)
         done = _read_checkpoint(args.out, args.n, mode) if args.out else {}
-        shallow = count_shallow_nodes(args.n, depth)  # the nodes above every shard
+        shallow = count_shallow_nodes(args.n, depth, prefix)  # the nodes above every shard
         total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow)
         pending = []
         for shard in shards:

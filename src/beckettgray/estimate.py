@@ -27,15 +27,11 @@ class EstimateReport:
 
 
 def _probe(state: SearchState, rng: random.Random) -> float:
-    nodes = 1.0
-    prod = 1.0
-    while True:
-        children = state.children()
-        if not children:
-            return nodes
-        prod *= len(children)
+    nodes = prod = 1.0
+    for k in state.descend(rng, 1 << state.n):  # no node lies deeper
+        prod *= k
         nodes += prod
-        state.push(rng.choice(children))
+    return nodes
 
 
 def estimate_tree_size(

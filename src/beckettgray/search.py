@@ -12,7 +12,9 @@ isomorphs are rejected at completion time.
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -23,6 +25,13 @@ from .core import TransitionSequence, WordPath
 # a string reference: typing caches parametrized aliases, and one holding
 # the class itself would keep every re-imported copy of the package alive
 Sink = Callable[[str, "TransitionSequence"], None]
+
+
+@functools.cache
+def _scan(n: int, descending: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per growth limit k, the symbols below k with their bits."""
+    order = range(n - 1, -1, -1) if descending else range(n)
+    return tuple(tuple((p, 1 << p) for p in order if p < k) for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,7 @@ class SearchState:
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, head, used, count = self.word, self.head, self.used, self.visited_count
         root = depth = len(seq)
-        # the symbols below each growth limit, descending, with their bits
-        scan = [[(p, 1 << p) for p in range(k - 1, -1, -1)] for k in range(n + 1)]
+        scan = _scan(n, True)
         pending: list[list[int]] = []  # per open level: untried symbols, descending
         try:
             while True:
@@ -245,6 +253,51 @@ class SearchState:
                 depth += 1
         finally:
             self.word, self.head, self.used, self.visited_count = word, head, used, count
+
+    def descend(
+        self, rng: random.Random, stop_at: int, restricted_growth: bool = True
+    ) -> list[int]:
+        """Push ``rng.choice(children())`` to a leaf or depth ``stop_at``; return
+        each step's number of children.  The steps are inlined, as in ``walk``."""
+        n = self.n
+        full = 1 << n
+        visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
+        word, head, used, count = self.word, self.head, self.used, self.visited_count
+        scan = _scan(n, False)
+        choice = rng.choice
+        factors: list[int] = []
+        while len(seq) < stop_at:
+            kids = []
+            front = queue[head] if head < len(queue) else -1
+            for p, b in scan[used + 1 if used < n and restricted_growth else n]:
+                if word & b:
+                    if p == front and (
+                        not visited[word ^ b] or (word == b and count == full)
+                    ):
+                        kids.append(p)
+                elif not visited[word | b]:
+                    kids.append(p)
+            if not kids:
+                break
+            factors.append(len(kids))
+            p = choice(kids)
+            if word >> p & 1:
+                head += 1
+                word ^= 1 << p
+                if word:
+                    visited[word] = 1
+                    count += 1
+            else:
+                queue.append(p)
+                word |= 1 << p
+                visited[word] = 1
+                count += 1
+            used_log.append(used)
+            if p >= used:
+                used = p + 1
+            seq.append(p)
+        self.word, self.head, self.used, self.visited_count = word, head, used, count
+        return factors
 
     def sequence(self) -> TransitionSequence:
         return TransitionSequence(self.n, tuple(self.seq))
@@ -307,23 +360,27 @@ def enumerate_beckett(
     return report
 
 
-def _split_depth(n: int, depth: int) -> int:
+def _split(n: int, depth: int,
+           prefix: Optional[TransitionSequence]) -> tuple[SearchState, int]:
+    """The state at ``prefix`` and the split depth, no less than its length."""
     if depth > 12:
         raise ValueError("split depth limited to 12")
+    state = SearchState.from_prefix(n, prefix)
     # no code is shorter than the open length, so no code lies above it
-    return min(depth, (1 << n) - 1)
+    return state, max(min(depth, (1 << n) - 1), len(state.seq))
 
 
-def split_prefixes(n: int, depth: int) -> list[SearchConfig]:
-    """Configs whose prefixes are the tree nodes at ``depth``, in order.
+def split_prefixes(n: int, depth: int,
+                   prefix: Optional[TransitionSequence] = None) -> list[SearchConfig]:
+    """Configs whose prefixes are the nodes at ``depth`` below ``prefix``, in order.
 
     The depth is capped at the open-code length ``2**n - 1``, so every
-    code lies in some shard; the shard subtrees partition the nodes at
-    and below the (capped) depth, and summing shard reports gives the
-    unsplit code counts.
+    code lies in some shard, and raised to the prefix length, so the
+    prefix is the one shard of a depth above it; the shard subtrees
+    partition the nodes at and below that depth, and summing shard
+    reports gives the unsplit code counts.
     """
-    depth = _split_depth(n, depth)
-    state = SearchState(n)
+    state, depth = _split(n, depth, prefix)
     return [
         SearchConfig(n=n, prefix=state.sequence())
         for d in state.walk(depth)
@@ -331,10 +388,11 @@ def split_prefixes(n: int, depth: int) -> list[SearchConfig]:
     ]
 
 
-def count_shallow_nodes(n: int, depth: int) -> int:
-    """Number of tree nodes strictly above the (capped) split ``depth``."""
-    depth = _split_depth(n, depth)
-    return sum(d < depth for d in SearchState(n).walk(depth))
+def count_shallow_nodes(n: int, depth: int,
+                        prefix: Optional[TransitionSequence] = None) -> int:
+    """Number of nodes from ``prefix`` down to just above the split ``depth``."""
+    state, depth = _split(n, depth, prefix)
+    return sum(d < depth for d in state.walk(depth))
 
 
 def enumerate_gray_cycles_small(n: int) -> list[WordPath]:

@@ -1,5 +1,15 @@
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import beckettgray
+
+# the command runs the package these tests import, wherever it was found
+PACKAGE_ROOT = str(Path(beckettgray.__file__).parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, stdin=None):
@@ -8,6 +18,7 @@ def run_cli(*args, stdin=None):
         capture_output=True,
         text=True,
         input=stdin,
+        env=ENV,
     )
 
 
@@ -78,6 +89,31 @@ class TestEnumerate:
             for field in ("count_open_total=4", "count_open_strict=4",
                           "nodes_visited=263", "truncated=False"):
                 assert field in last.split()
+
+    def test_sharded_run_is_rooted_at_the_prefix(self):
+        # depth 2 lies above the prefix, whose subtree is then the one shard
+        for depth in ("6", "2"):
+            r = run_cli("enumerate", "-n", "5", "--mode", "cyclic", "--prefix", "0102",
+                        "--depth", depth, "--count-only")
+            last = r.stdout.splitlines()[-1].split()
+            assert "count_cyclic=6" in last and "nodes_visited=234966" in last
+
+    def test_resumed_report_includes_the_time_of_recorded_shards(self, tmp_path):
+        out = tmp_path / "run.txt"
+        args = ("enumerate", "-n", "4", "--depth", "3", "--count-only", "--out", str(out))
+
+        def report(r):
+            return dict(f.split("=", 1) for f in r.stdout.splitlines()[-1].split()[1:])
+
+        first = report(run_cli(*args))
+        # the second run runs no shard and reports the recorded ones
+        second = report(run_cli(*args))
+        assert float(second["elapsed"]) == float(first["elapsed"]) > 0
+        # lines written without elapsed still load, with a time of 0.0
+        out.write_text(re.sub(r" elapsed=\S+", "", out.read_text()))
+        old = report(run_cli(*args))
+        assert (old["elapsed"], old["nodes_visited"], old["count_open_total"]) == (
+            "0.0", "263", "4")
 
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")

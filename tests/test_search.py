@@ -159,6 +159,29 @@ class TestSplitPrefixes:
             assert codes == whole_codes, depth
             assert count_shallow_nodes(n, depth) + merged.nodes_visited == whole.nodes_visited
 
+    def test_every_depth_below_a_prefix_matches_the_prefix_run(self):
+        # shards are rooted at the prefix; a depth at or above it gives the
+        # prefix itself as the one shard
+        prefix = parse_symbols(4, "0102")
+        codes = []
+        whole = enumerate_beckett(
+            SearchConfig(4, prefix=prefix), lambda k, s: codes.append((k, s))
+        )
+        for depth in range(13):
+            shards = split_prefixes(4, depth, prefix)
+            if depth <= 4:
+                assert [c.prefix for c in shards] == [prefix]
+            merged, shard_codes = None, []
+            for cfg in shards:
+                assert cfg.prefix.symbols[:4] == prefix.symbols
+                shard = enumerate_beckett(cfg, lambda k, s: shard_codes.append((k, s)))
+                merged = shard if merged is None else merged.merge(shard)
+            assert shard_codes == codes, depth
+            assert (
+                count_shallow_nodes(4, depth, prefix) + merged.nodes_visited
+                == whole.nodes_visited
+            ), depth
+
     def test_prefix_must_be_consistent(self):
         with pytest.raises(ValueError):
             SearchState.from_prefix(3, parse_symbols(3, "00"))
@@ -263,6 +286,33 @@ class TestUndoKernel:
         recursive(SearchState(4), expected)
         state = SearchState(4)
         assert [tuple(state.seq) for _ in state.walk(16)] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("restricted_growth", [True, False])
+    def test_descend_is_a_children_choice_push_loop(self, n, restricted_growth):
+        # the inlined step must draw and push as this loop does, step for step
+        def stepwise(state, rng, stop_at):
+            factors = []
+            while len(state.seq) < stop_at:
+                kids = state.children(restricted_growth)
+                if not kids:
+                    break
+                factors.append(len(kids))
+                assert state.push(rng.choice(kids))
+            return factors
+
+        for text, seed in itertools.product(["", "0102"[:n]], range(5)):
+            prefix = parse_symbols(n, text)
+            # a stop below the deepest node possible, and one past it
+            for stop_at in (len(text) + 2, (1 << n) + 1):
+                expected = SearchState.from_prefix(n, prefix)
+                want = stepwise(expected, random.Random(seed), stop_at)
+                state = SearchState.from_prefix(n, prefix)
+                got = state.descend(random.Random(seed), stop_at, restricted_growth)
+                assert (state.seq, got) == (expected.seq, want)
+                assert _snapshot(state) == _snapshot(
+                    SearchState.from_prefix(n, state.sequence())
+                )
 
 
 class TestIterativeSearch:
