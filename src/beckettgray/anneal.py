@@ -127,8 +127,9 @@ def complete_backtrack(
     """Exhaustive lexicographic DFS over extensions of ``prefix``.
 
     No restricted-growth pruning: the prefix already fixes the labeling.
-    Returns the first completion in lexicographic order, or reports
-    whether absence was proven or merely budgeted out.
+    The walk's degree prune for ``mode`` cuts only subtrees that hold no
+    completion.  Returns the first completion in lexicographic order, or
+    reports whether absence was proven or merely budgeted out.
     """
     if mode not in ("cyclic", "open"):
         raise ValueError(f"bad mode {mode!r}")
@@ -140,7 +141,7 @@ def complete_backtrack(
         # the prefix itself revisits a word or breaks the queue discipline
         return CompletionResult(found=None, proven_impossible=True)
     result = CompletionResult(found=None, proven_impossible=False)
-    for depth in state.walk(target, restricted_growth=False):
+    for depth in state.walk(target, restricted_growth=False, prune=mode):
         result.nodes += 1
         if budget is not None and result.nodes > budget:
             return result

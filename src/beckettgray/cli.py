@@ -12,8 +12,10 @@ import json
 import os
 import random
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from itertools import repeat
 from typing import Iterable, Optional
 
 from . import anneal as anneal_mod
@@ -92,10 +94,22 @@ def _cmd_canonicalize(args) -> int:
     return EXIT_OK
 
 
-def _run_shard(config: SearchConfig) -> tuple[str, EnumerationReport, list[tuple[str, str]]]:
+def _run_shard(
+    config: SearchConfig, deadline: Optional[float]
+) -> tuple[str, EnumerationReport, list[tuple[str, str]]]:
+    """Walk one shard, with the time left before the run's wall-clock ``deadline``.
+
+    A shard that starts after the deadline is not walked; it is reported
+    as truncated, so that a resumed run walks it again.
+    """
     emitted: list[tuple[str, str]] = []
-    report = enumerate_beckett(config, lambda kind, seq: emitted.append((kind, str(seq))))
     prefix = "" if config.prefix is None else str(config.prefix)
+    if deadline is not None:
+        left = deadline - time.time()  # wall clock: workers are other processes
+        if left <= 0:
+            return prefix, EnumerationReport(config.n, config.mode, truncated=True), emitted
+        config = replace(config, time_limit=left)
+    report = enumerate_beckett(config, lambda kind, seq: emitted.append((kind, str(seq))))
     return prefix, report, emitted
 
 
@@ -148,6 +162,8 @@ def _cmd_enumerate(args) -> int:
             out.flush()
 
     if args.jobs > 1 or args.depth:
+        # one time budget for the whole run, not one per shard
+        deadline = None if args.time_limit is None else time.time() + args.time_limit
         depth = args.depth or 4
         shards = split_prefixes(args.n, depth, prefix)
         done = _read_checkpoint(args.out, args.n, mode) if args.out else {}
@@ -161,7 +177,7 @@ def _cmd_enumerate(args) -> int:
                 pending.append(replace(base, prefix=shard.prefix))
         emit_line(f"n={args.n} mode={mode}")
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for prefix_str, report, emitted in pool.map(_run_shard, pending):
+            for prefix_str, report, emitted in pool.map(_run_shard, pending, repeat(deadline)):
                 for kind, text in emitted:
                     emit_line(text)
                 emit_line(_shard_line(prefix_str, report))

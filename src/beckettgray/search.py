@@ -34,6 +34,37 @@ def _scan(n: int, descending: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((p, 1 << p) for p in order if p < k) for k in range(n + 1))
 
 
+def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> tuple[bytearray, int]:
+    """Available neighbours of each unvisited word, and their total deficit.
+
+    A neighbour is available if it is unvisited, the current ``word``, or,
+    for a cycle, word 0.  A Hamilton path from ``word`` through every
+    unvisited word (closed at 0 for a cycle) enters and leaves each of them
+    by available neighbours, so each needs two; only an open path's end
+    word may have one.  The deficit sums ``2 - count`` over the words with
+    fewer than two: a cycle needs it 0, an open path at most 1.
+    """
+    avail = bytearray(1 << n)
+    bits = [1 << p for p in range(n)]
+    # the current word and word 0 are visited, so the scan below does not
+    # count them again; for a cycle at word 0 they are one word
+    for b in bits:
+        avail[word ^ b] += 1
+        if cyclic and word:
+            avail[b] += 1
+    deficit = 0
+    for x in range(1 << n):
+        if not visited[x]:
+            a = avail[x]
+            for b in bits:
+                if not visited[x ^ b]:
+                    a += 1
+            avail[x] = a
+            if a < 2:
+                deficit += 2 - a
+    return avail, deficit
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
@@ -177,7 +208,8 @@ class SearchState:
         self.used = self.used_log.pop()
         return p
 
-    def walk(self, max_depth: int, restricted_growth: bool = True) -> Iterator[int]:
+    def walk(self, max_depth: int, restricted_growth: bool = True,
+             prune: Optional[str] = None) -> Iterator[int]:
         """Depth-first walk of the subtree below the current node.
 
         Yields the depth of each node in lexicographic order, the current
@@ -186,6 +218,14 @@ class SearchState:
         leaves the state at its starting node; one that is closed early
         leaves it at the last node yielded.  The push and pop steps are
         inlined, with the state's ints held in locals.
+
+        ``prune`` ("cyclic" or "open") stops at every node, the start
+        included, below which no code of that kind can be completed, by
+        the degree rule of ``_degrees``: the words not yet visited must
+        still admit a Hamilton path from the current word, closed at 0
+        when cyclic.  Such a node is yielded but not expanded, so no
+        completion is lost and their order is kept.  The counts are built
+        once and then updated in O(n) per step.
         """
         n = self.n
         full = 1 << n
@@ -194,12 +234,24 @@ class SearchState:
         root = depth = len(seq)
         scan = _scan(n, True)
         pending: list[list[int]] = []  # per open level: untried symbols, descending
+        stop = max_depth  # nodes this deep are not expanded; a dead node's own depth
+        avail = None
+        if prune is not None:
+            if prune not in ("cyclic", "open"):
+                raise ValueError(f"bad prune {prune!r}")
+            if n > 1:  # the 1-bit cycle uses its one edge twice
+                cyclic = prune == "cyclic"
+                slack = 0 if cyclic else 1  # an open path's end word needs only one
+                bits = tuple(1 << p for p in range(n))
+                avail, deficit = _degrees(n, visited, word, cyclic)
+                if deficit > slack:
+                    stop = depth
         try:
             while True:
                 self.word, self.head, self.used, self.visited_count = word, head, used, count
                 yield depth
                 kids = []
-                if depth < max_depth:
+                if depth < stop:
                     # one pass, descending, so that pop() returns ascending
                     front = queue[head] if head < len(queue) else -1
                     for p, b in scan[used + 1 if used < n and restricted_growth else n]:
@@ -218,6 +270,22 @@ class SearchState:
                         if depth == root:
                             return
                         p = seq.pop()
+                        if avail is not None:
+                            # the word rejoins the unvisited ones, and the
+                            # neighbours of the word it was entered from
+                            # regain that one
+                            if word:
+                                a = avail[word]
+                                if a < 2:
+                                    deficit += 2 - a
+                            u = word ^ 1 << p
+                            if u or not cyclic:
+                                for b in bits:
+                                    if not visited[u ^ b]:
+                                        a = avail[u ^ b]
+                                        avail[u ^ b] = a + 1
+                                        if a < 2:
+                                            deficit -= 1
                         if word >> p & 1:
                             queue.pop()
                             visited[word] = 0
@@ -251,6 +319,23 @@ class SearchState:
                     used = p + 1
                 seq.append(p)
                 depth += 1
+                if avail is not None:
+                    # the word left is no longer available to its unvisited
+                    # neighbours, except 0 for a cycle; the cube has no
+                    # triangles, so none of them neighbours the new word
+                    u = word ^ 1 << p
+                    if u or not cyclic:
+                        for b in bits:
+                            if not visited[u ^ b]:
+                                a = avail[u ^ b] - 1
+                                avail[u ^ b] = a
+                                if a < 2:
+                                    deficit += 1
+                    if word:  # the new word leaves the unvisited ones
+                        a = avail[word]
+                        if a < 2:
+                            deficit -= 2 - a
+                    stop = max_depth if deficit <= slack else depth
         finally:
             self.word, self.head, self.used, self.visited_count = word, head, used, count
 
@@ -363,8 +448,8 @@ def enumerate_beckett(
 def _split(n: int, depth: int,
            prefix: Optional[TransitionSequence]) -> tuple[SearchState, int]:
     """The state at ``prefix`` and the split depth, no less than its length."""
-    if depth > 12:
-        raise ValueError("split depth limited to 12")
+    if depth > 12 and n > 5:  # the whole tree for n <= 5 has 537,326 nodes
+        raise ValueError("split depth limited to 12 for n > 5")
     state = SearchState.from_prefix(n, prefix)
     # no code is shorter than the open length, so no code lies above it
     return state, max(min(depth, (1 << n) - 1), len(state.seq))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from beckettgray.anneal import (
@@ -8,7 +10,20 @@ from beckettgray.anneal import (
 )
 from beckettgray.beckett import BeckettKind, classify_beckett
 from beckettgray.core import TransitionSequence, parse_symbols
-from beckettgray.search import SearchConfig, enumerate_beckett
+from beckettgray.fixtures import load_fixtures
+from beckettgray.search import SearchConfig, SearchState, enumerate_beckett
+
+
+def unpruned_completion(prefix, mode):
+    """``complete_backtrack`` without the degree prune or a budget:
+    the first completion and whether none exists."""
+    n = prefix.n
+    target = (1 << n) - (0 if mode == "cyclic" else 1)
+    state = SearchState.from_prefix(n, prefix)
+    for depth in state.walk(target, restricted_growth=False):
+        if depth == target and (mode == "cyclic" or state.visited_count == 1 << n):
+            return state.sequence(), False
+    return None, True
 
 
 class TestAnnealPartial:
@@ -62,6 +77,30 @@ class TestCompleteBacktrack:
         assert result.found is None
         assert not result.proven_impossible
 
+    @pytest.mark.parametrize("n,mode,base", [
+        (5, "cyclic", 11), (5, "open", 3), (6, "cyclic", 1), (6, "open", 2),
+    ])
+    def test_prune_gives_the_unpruned_answer(self, n, mode, base):
+        # the handoff prefix of every attempt of a hunt, up to its code
+        handoff = AnnealConfig(n=n, mode=mode).handoff
+        for attempt in itertools.count():
+            partial = anneal_partial(AnnealConfig(
+                n=n, mode=mode, rng_seed=base * 1_000_003 + attempt, target_length=handoff))
+            prefix = TransitionSequence(n, partial.symbols[:handoff])
+            expected = unpruned_completion(prefix, mode)
+            result = complete_backtrack(prefix, mode)
+            assert (result.found, result.proven_impossible) == expected, attempt
+            if result.found is not None:
+                break
+
+    def test_seven_bit_prefix_completes_within_the_default_budget(self):
+        # the unpruned walk finds nothing here within 3,000,000 nodes
+        code = next(e.seq for e in load_fixtures() if e.n == 7 and e.mode == "cyclic")
+        budget = AnnealConfig(n=7).completion_budget
+        result = complete_backtrack(TransitionSequence(7, code.symbols[:80]), "cyclic", budget)
+        assert result.found is not None and result.nodes <= budget
+        assert classify_beckett(result.found).kind is BeckettKind.CYCLIC
+
     @pytest.mark.parametrize("n,mode", [(3, "open"), (4, "open"), (5, "cyclic")])
     def test_empty_prefix_matches_first_enumeration(self, n, mode):
         first = []
@@ -96,6 +135,14 @@ class TestHunt:
         result = hunt(AnnealConfig(n=5, mode=mode, rng_seed=seed))
         assert (str(result.found), result.attempts, result.winning_seed) == (
             found, attempts, seed * 1_000_003 + attempts - 1)
+
+    def test_six_bit_stream_is_pinned(self):
+        # recorded before the completion's degree prune, which changed none of it
+        result = hunt(AnnealConfig(n=6, mode="cyclic", rng_seed=1))
+        assert (str(result.found), result.attempts, result.winning_seed,
+                result.best_partial_length) == (
+            "0431050431324515032024153054203251435021312515425340134021314231",
+            874, 1_000_876, 64)
 
     def test_deterministic(self):
         cfg = AnnealConfig(n=5, mode="cyclic", rng_seed=12, restarts=500)

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import beckettgray
+from beckettgray import cli
 
 # the command runs the package these tests import, wherever it was found
 PACKAGE_ROOT = str(Path(beckettgray.__file__).parents[1])
@@ -12,9 +15,9 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, module="beckettgray.cli"):
     return subprocess.run(
-        [sys.executable, "-m", "beckettgray.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -115,9 +118,43 @@ class TestEnumerate:
         assert (old["elapsed"], old["nodes_visited"], old["count_open_total"]) == (
             "0.0", "263", "4")
 
+    def test_time_limit_is_one_budget_for_the_whole_sharded_run(self):
+        # each shard used to get the whole budget: 469,887 nodes here
+        r = run_cli("enumerate", "-n", "5", "--depth", "8", "--time-limit", "0.01",
+                    "--count-only")
+        assert r.returncode == 3
+        last = r.stdout.splitlines()[-1]
+        assert "truncated=True" in last.split()
+        assert int(re.search(r"nodes_visited=(\d+)", last).group(1)) < 100_000
+
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")
         assert "0102101" in r.stdout
+
+
+def enumerate_report(capsys, *args):
+    """Exit code and report counts of an in-process ``enumerate --count-only``."""
+    code = cli.main(["enumerate", *args, "--count-only"])
+    fields = dict(f.split("=", 1) for f in capsys.readouterr().out.splitlines()[-1].split()[1:])
+    return code, {k: fields[k] for k in ("count_cyclic", "count_open_total",
+                                         "count_open_strict", "nodes_visited", "truncated")}
+
+
+class TestShardedAgreesWithUnsharded:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_depth(self, capsys, n):
+        whole = enumerate_report(capsys, "-n", str(n))
+        assert whole[0] == 0
+        # depth 0 is the unsharded run itself
+        for depth in range(2**n + 1) if n < 5 else (1, 4, 10, 31, 32):
+            assert enumerate_report(capsys, "-n", str(n), "--depth", str(depth)) == whole, depth
+
+    def test_run_cut_off_and_resumed(self, capsys, tmp_path):
+        whole = enumerate_report(capsys, "-n", "5")
+        args = ("-n", "5", "--depth", "6", "--out", str(tmp_path / "run.txt"))
+        code, cut = enumerate_report(capsys, *args, "--node-limit", "20000")
+        assert (code, cut["truncated"]) == (3, "True")
+        assert enumerate_report(capsys, *args) == whole
 
 
 class TestOtherCommands:
@@ -150,6 +187,11 @@ class TestOtherCommands:
                     "--restarts", "2000")
         assert r.returncode == 0
         assert "found=True" in r.stdout
+
+    def test_python_m_package_runs_the_cli(self):
+        r = run_cli("verify", "-n", "3", "0102101", module="beckettgray")
+        assert r.returncode == 0
+        assert "open-beckett" in r.stdout
 
     def test_usage_error(self):
         r = run_cli("enumerate")

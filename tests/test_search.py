@@ -315,6 +315,61 @@ class TestUndoKernel:
                 )
 
 
+def _walked(state, restricted_growth, prune):
+    """Nodes yielded, and the cyclic and open completions in walk order."""
+    full = 1 << state.n
+    nodes, cyclic, open_ = 0, [], []
+    before = _snapshot(state)
+    for depth in state.walk(full, restricted_growth, prune):
+        nodes += 1
+        if depth == full:
+            cyclic.append(tuple(state.seq))
+        elif depth == full - 1:  # every word is visited
+            open_.append(tuple(state.seq))
+    assert _snapshot(state) == before
+    return nodes, cyclic, open_
+
+
+class TestDegreePrune:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("restricted_growth", [True, False])
+    def test_prune_keeps_every_completion_in_order(self, n, restricted_growth):
+        # from the root and, at n = 5, from every node at depth 6; the
+        # unrestricted 5-bit tree from the root is too big to walk here
+        starts = [()]
+        if n == 5:
+            starts = [c.prefix.symbols for c in split_prefixes(5, 6)]
+            if restricted_growth:
+                starts.append(())
+        for start in starts:
+            state = SearchState.from_prefix(n, TransitionSequence(n, start))
+            nodes, cyclic, open_ = _walked(state, restricted_growth, None)
+            cyclic_nodes, pruned_cyclic, _ = _walked(state, restricted_growth, "cyclic")
+            open_nodes, _, pruned_open = _walked(state, restricted_growth, "open")
+            assert pruned_cyclic == cyclic, start
+            assert pruned_open == open_, start
+            assert max(cyclic_nodes, open_nodes) <= nodes, start
+
+    def test_pruned_tree_sizes_are_frozen(self):
+        # 537,326 nodes unpruned; a dead node is yielded as a leaf
+        state = SearchState(5)
+        assert _walked(state, True, "cyclic")[0] == 93_519
+        assert _walked(state, True, "open")[0] == 155_305
+
+    def test_dead_start_is_yielded_and_not_expanded(self):
+        # at 0, 1, 3, 7, 6 the word 101 has one available neighbour, 100,
+        # so no cycle passes through it; without the closing word 0, 010
+        # has one too, and no open path ends at both
+        state = SearchState.from_prefix(3, parse_symbols(3, "0120"))
+        assert len(list(state.walk(8, False))) > 1
+        assert list(state.walk(8, False, "cyclic")) == [4]
+        assert list(state.walk(8, False, "open")) == [4]
+
+    def test_bad_prune_is_rejected(self):
+        with pytest.raises(ValueError):
+            next(SearchState(3).walk(8, prune="both"))
+
+
 class TestIterativeSearch:
     def test_deep_searches_need_no_recursion(self):
         code = parse_symbols(5, "01020132010432104342132340412304")
