@@ -27,15 +27,10 @@ from .core import (
     TransitionSequence,
     format_symbols,
     parse_symbols,
+    write_sequence_block,
 )
 from .fixtures import self_check
-from .search import (
-    EnumerationReport,
-    SearchConfig,
-    count_shallow_nodes,
-    enumerate_beckett,
-    split_prefixes,
-)
+from .search import EnumerationReport, SearchConfig, enumerate_beckett, split_tree
 from .stacks import brgc, two_stack_trace
 
 EXIT_OK = 0
@@ -153,6 +148,15 @@ def _cmd_enumerate(args) -> int:
         time_limit=args.time_limit,
         emit="count-only" if args.count_only else "canonical-codes",
     )
+    sharded = args.jobs > 1 or args.depth
+    if sharded:
+        # one time budget for the whole run, split included, not one per shard
+        deadline = None if args.time_limit is None else time.time() + args.time_limit
+        try:
+            shards, shallow, cut = split_tree(args.n, args.depth or 4, prefix, args.time_limit)
+        except ValueError as e:  # a split depth or prefix out of range
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     out = open(args.out, "a") if args.out else None
 
     def emit_line(text: str) -> None:
@@ -161,14 +165,10 @@ def _cmd_enumerate(args) -> int:
             out.write(text + "\n")
             out.flush()
 
-    if args.jobs > 1 or args.depth:
-        # one time budget for the whole run, not one per shard
-        deadline = None if args.time_limit is None else time.time() + args.time_limit
-        depth = args.depth or 4
-        shards = split_prefixes(args.n, depth, prefix)
+    if sharded:
         done = _read_checkpoint(args.out, args.n, mode) if args.out else {}
-        shallow = count_shallow_nodes(args.n, depth, prefix)  # the nodes above every shard
-        total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow)
+        # a cut split runs and records no shard, so a resume splits again
+        total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow, truncated=cut)
         pending = []
         for shard in shards:
             if str(shard.prefix) in done:
@@ -229,8 +229,7 @@ def _cmd_hunt(args) -> int:
         print(format_symbols(args.n, result.found.symbols))
         if args.out:
             with open(args.out, "a") as fp:
-                fp.write(f"n={args.n} mode={args.mode}\n")
-                fp.write(format_symbols(args.n, result.found.symbols) + "\n")
+                write_sequence_block(fp, args.n, args.mode, [result.found])
     print(
         f"# found={result.found is not None} "
         f"best_partial_length={result.best_partial_length} "

@@ -28,10 +28,29 @@ Sink = Callable[[str, "TransitionSequence"], None]
 
 
 @functools.cache
-def _scan(n: int, descending: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per growth limit k, the symbols below k with their bits."""
+def _scan(n: int, descending: bool,
+          restricted_growth: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per count of symbols used so far, the symbols that may come next,
+    with their bits: under restricted growth, only up to the first unused."""
     order = range(n - 1, -1, -1) if descending else range(n)
-    return tuple(tuple((p, 1 << p) for p in order if p < k) for k in range(n + 1))
+    return tuple(tuple((p, 1 << p) for p in order if p <= used or not restricted_growth)
+                 for used in range(n + 1))
+
+
+def _expand(row: tuple[tuple[int, int], ...], word: int, front: int,
+            visited: bytearray, closing: bool) -> list[int]:
+    """The symbols of ``row`` legal after ``word``, in the row's order: each
+    reaches an unvisited word by setting a bit or by clearing the queue
+    ``front``, or clears the front back to 0 when ``closing`` (every word
+    visited).  ``push`` applies the same rule to one symbol."""
+    kids = []
+    for p, b in row:
+        if word & b:
+            if p == front and (not visited[word ^ b] or (word == b and closing)):
+                kids.append(p)
+        elif not visited[word | b]:
+            kids.append(p)
+    return kids
 
 
 def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> tuple[bytearray, int]:
@@ -145,21 +164,11 @@ class SearchState:
         return state
 
     def children(self, restricted_growth: bool = True) -> list[int]:
-        """Legal next symbols in ascending order."""
+        """Legal next symbols in ascending order: those ``push`` accepts."""
         out = []
-        word = self.word
-        visited = self.visited
-        front = self.queue[self.head] if self.head < len(self.queue) else -1
-        n = self.n
-        for p in range(self.used + 1 if restricted_growth and self.used < n else n):
-            if word >> p & 1:
-                # only the queue front may leave; back to 0 only to close a cycle
-                if p == front and (
-                    not visited[word ^ 1 << p]
-                    or (word == 1 << p and self.visited_count == len(visited))
-                ):
-                    out.append(p)
-            elif not visited[word | 1 << p]:
+        for p, _ in _scan(self.n, False, restricted_growth)[self.used]:
+            if self.push(p):
+                self.pop()
                 out.append(p)
         return out
 
@@ -216,8 +225,8 @@ class SearchState:
         node first, with the state set to that node.  Nodes at
         ``max_depth`` are not expanded.  A walk that runs to its end
         leaves the state at its starting node; one that is closed early
-        leaves it at the last node yielded.  The push and pop steps are
-        inlined, with the state's ints held in locals.
+        leaves it at the last node yielded.  ``_expand`` gives the children;
+        push and pop are inlined, with the state's ints held in locals.
 
         ``prune`` ("cyclic" or "open") stops at every node, the start
         included, below which no code of that kind can be completed, by
@@ -232,7 +241,7 @@ class SearchState:
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, head, used, count = self.word, self.head, self.used, self.visited_count
         root = depth = len(seq)
-        scan = _scan(n, True)
+        scan = _scan(n, True, restricted_growth)
         pending: list[list[int]] = []  # per open level: untried symbols, descending
         stop = max_depth  # nodes this deep are not expanded; a dead node's own depth
         avail = None
@@ -250,18 +259,9 @@ class SearchState:
             while True:
                 self.word, self.head, self.used, self.visited_count = word, head, used, count
                 yield depth
-                kids = []
-                if depth < stop:
-                    # one pass, descending, so that pop() returns ascending
-                    front = queue[head] if head < len(queue) else -1
-                    for p, b in scan[used + 1 if used < n and restricted_growth else n]:
-                        if word & b:
-                            if p == front and (
-                                not visited[word ^ b] or (word == b and count == full)
-                            ):
-                                kids.append(p)
-                        elif not visited[word | b]:
-                            kids.append(p)
+                # descending, so that pop() returns ascending
+                kids = _expand(scan[used], word, queue[head] if head < len(queue) else -1,
+                               visited, count == full) if depth < stop else None
                 if kids:
                     pending.append(kids)
                 else:
@@ -343,25 +343,16 @@ class SearchState:
         self, rng: random.Random, stop_at: int, restricted_growth: bool = True
     ) -> list[int]:
         """Push ``rng.choice(children())`` to a leaf or depth ``stop_at``; return
-        each step's number of children.  The steps are inlined, as in ``walk``."""
-        n = self.n
-        full = 1 << n
+        each step's number of children.  The push step is inlined, as in ``walk``."""
+        full = 1 << self.n
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, head, used, count = self.word, self.head, self.used, self.visited_count
-        scan = _scan(n, False)
+        scan = _scan(self.n, False, restricted_growth)
         choice = rng.choice
         factors: list[int] = []
         while len(seq) < stop_at:
-            kids = []
-            front = queue[head] if head < len(queue) else -1
-            for p, b in scan[used + 1 if used < n and restricted_growth else n]:
-                if word & b:
-                    if p == front and (
-                        not visited[word ^ b] or (word == b and count == full)
-                    ):
-                        kids.append(p)
-                elif not visited[word | b]:
-                    kids.append(p)
+            kids = _expand(scan[used], word, queue[head] if head < len(queue) else -1,
+                           visited, count == full)
             if not kids:
                 break
             factors.append(len(kids))
@@ -445,19 +436,13 @@ def enumerate_beckett(
     return report
 
 
-def _split(n: int, depth: int,
-           prefix: Optional[TransitionSequence]) -> tuple[SearchState, int]:
-    """The state at ``prefix`` and the split depth, no less than its length."""
-    if depth > 12 and n > 5:  # the whole tree for n <= 5 has 537,326 nodes
-        raise ValueError("split depth limited to 12 for n > 5")
-    state = SearchState.from_prefix(n, prefix)
-    # no code is shorter than the open length, so no code lies above it
-    return state, max(min(depth, (1 << n) - 1), len(state.seq))
-
-
-def split_prefixes(n: int, depth: int,
-                   prefix: Optional[TransitionSequence] = None) -> list[SearchConfig]:
-    """Configs whose prefixes are the nodes at ``depth`` below ``prefix``, in order.
+def split_tree(n: int, depth: int, prefix: Optional[TransitionSequence] = None,
+               time_limit: Optional[float] = None) -> tuple[list[SearchConfig], int, bool]:
+    """One walk to the split ``depth`` below ``prefix``: the configs whose
+    prefixes are the nodes at that depth, in order; the number of nodes
+    above it; and whether ``time_limit`` (checked every 4,096 nodes) cut
+    the walk short, in which case no config is returned and every node
+    walked is counted.
 
     The depth is capped at the open-code length ``2**n - 1``, so every
     code lies in some shard, and raised to the prefix length, so the
@@ -465,19 +450,33 @@ def split_prefixes(n: int, depth: int,
     partition the nodes at and below that depth, and summing shard
     reports gives the unsplit code counts.
     """
-    state, depth = _split(n, depth, prefix)
-    return [
-        SearchConfig(n=n, prefix=state.sequence())
-        for d in state.walk(depth)
-        if d == depth
-    ]
+    if depth > 12 and n > 5:  # the whole tree for n <= 5 has 537,326 nodes
+        raise ValueError("split depth limited to 12 for n > 5")
+    state = SearchState.from_prefix(n, prefix)
+    # no code is shorter than the open length, so no code lies above it
+    depth = max(min(depth, (1 << n) - 1), len(state.seq))
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    shards: list[SearchConfig] = []
+    nodes = 0
+    for d in state.walk(depth):
+        if d == depth:
+            shards.append(SearchConfig(n=n, prefix=state.sequence()))
+        nodes += 1
+        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+            return [], nodes, True
+    return shards, nodes - len(shards), False
+
+
+def split_prefixes(n: int, depth: int,
+                   prefix: Optional[TransitionSequence] = None) -> list[SearchConfig]:
+    """Configs whose prefixes are the nodes at ``depth`` below ``prefix``, in order."""
+    return split_tree(n, depth, prefix)[0]
 
 
 def count_shallow_nodes(n: int, depth: int,
                         prefix: Optional[TransitionSequence] = None) -> int:
     """Number of nodes from ``prefix`` down to just above the split ``depth``."""
-    state, depth = _split(n, depth, prefix)
-    return sum(d < depth for d in state.walk(depth))
+    return split_tree(n, depth, prefix)[1]
 
 
 def enumerate_gray_cycles_small(n: int) -> list[WordPath]:

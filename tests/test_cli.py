@@ -127,6 +127,22 @@ class TestEnumerate:
         assert "truncated=True" in last.split()
         assert int(re.search(r"nodes_visited=(\d+)", last).group(1)) < 100_000
 
+    def test_time_limit_bounds_the_split_walk(self, tmp_path):
+        # the split used to walk all 537,178 nodes above depth 31 first
+        out = tmp_path / "run.txt"
+        r = run_cli("enumerate", "-n", "5", "--depth", "31", "--time-limit", "0.01",
+                    "--count-only", "--out", str(out))
+        assert r.returncode == 3
+        last = r.stdout.splitlines()[-1]
+        assert "truncated=True" in last.split()
+        assert int(re.search(r"nodes_visited=(\d+)", last).group(1)) < 100_000
+        assert "shard=" not in out.read_text()  # so a resume splits again
+
+    def test_split_depth_beyond_the_limit_is_a_usage_error(self):
+        r = run_cli("enumerate", "-n", "6", "--depth", "13", "--count-only")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")
         assert "0102101" in r.stdout
@@ -182,11 +198,14 @@ class TestOtherCommands:
         r3 = run_cli("estimate", "-n", "3", "--samples", "100", "--seed", "5")
         assert r2.stdout == r3.stdout
 
-    def test_hunt_small(self):
+    def test_hunt_small(self, tmp_path):
+        out = tmp_path / "found.txt"
         r = run_cli("hunt", "-n", "5", "--mode", "cyclic", "--seed", "3",
-                    "--restarts", "2000")
+                    "--restarts", "2000", "--out", str(out))
         assert r.returncode == 0
         assert "found=True" in r.stdout
+        # the header and code as printed
+        assert out.read_text().splitlines() == r.stdout.splitlines()[:2]
 
     def test_python_m_package_runs_the_cli(self):
         r = run_cli("verify", "-n", "3", "0102101", module="beckettgray")

@@ -24,6 +24,7 @@ from beckettgray.search import (
     enumerate_beckett,
     enumerate_gray_cycles_small,
     split_prefixes,
+    split_tree,
 )
 
 TABLE_FIVE_BIT_CYCLIC = {
@@ -126,6 +127,10 @@ class TestSplitPrefixes:
     def test_depth_two_survivors(self):
         # "00" dies (dequeue revisits the all-zero word): only "01" survives
         assert [str(c.prefix) for c in split_prefixes(3, 2)] == ["01"]
+
+    def test_time_limit_cuts_the_split_walk(self):
+        # checked every 4,096 nodes; a cut walk leaves no shard to run
+        assert split_tree(5, 31, time_limit=0) == ([], 4096, True)
 
     @pytest.mark.parametrize("depth", [4, 6, 8])
     def test_shard_sums_match_unsplit_run(self, depth):
@@ -273,19 +278,21 @@ class TestUndoKernel:
         assert _snapshot(state) == _snapshot(SearchState.from_prefix(3, state.sequence()))
         assert len(state.seq) == 5
 
-    def test_walk_order_is_children_order(self):
-        # the inlined step must agree with children()/push() node for node
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("restricted_growth", [True, False])
+    def test_walk_order_is_children_order(self, n, restricted_growth):
+        # the walk's scan must agree with children(), that is push(), node for node
         def recursive(state, out):
             out.append(tuple(state.seq))
-            for p in state.children():
+            for p in state.children(restricted_growth):
                 state.push(p)
                 recursive(state, out)
                 state.pop()
 
         expected = []
-        recursive(SearchState(4), expected)
-        state = SearchState(4)
-        assert [tuple(state.seq) for _ in state.walk(16)] == expected
+        recursive(SearchState(n), expected)
+        state = SearchState(n)
+        assert [tuple(state.seq) for _ in state.walk(1 << n, restricted_growth)] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("restricted_growth", [True, False])
