@@ -145,7 +145,7 @@ def complete_backtrack(
         result.nodes += 1
         if budget is not None and result.nodes > budget:
             return result
-        if depth == target and (mode == "cyclic" or state.visited_count == (1 << n)):
+        if depth == target:  # every word is visited from depth 2**n - 1 on
             result.found = state.sequence()
             return result
     result.proven_impossible = True

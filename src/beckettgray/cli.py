@@ -30,7 +30,7 @@ from .core import (
     write_sequence_block,
 )
 from .fixtures import self_check
-from .search import EnumerationReport, SearchConfig, enumerate_beckett, split_tree
+from .search import EnumerationReport, SearchConfig, SearchState, enumerate_beckett, split_tree
 from .stacks import brgc, two_stack_trace
 
 EXIT_OK = 0
@@ -140,6 +140,11 @@ def _read_checkpoint(path: str, n: int, mode: str) -> dict[str, EnumerationRepor
 def _cmd_enumerate(args) -> int:
     mode = args.mode
     prefix = parse_symbols(args.n, args.prefix) if args.prefix else None
+    try:
+        SearchState.from_prefix(args.n, prefix)  # raises if the prefix breaks the queue rule
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     base = SearchConfig(
         n=args.n,
         mode=mode,
@@ -154,7 +159,7 @@ def _cmd_enumerate(args) -> int:
         deadline = None if args.time_limit is None else time.time() + args.time_limit
         try:
             shards, shallow, cut = split_tree(args.n, args.depth or 4, prefix, args.time_limit)
-        except ValueError as e:  # a split depth or prefix out of range
+        except ValueError as e:  # a split depth out of range
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
     out = open(args.out, "a") if args.out else None

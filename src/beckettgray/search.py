@@ -37,18 +37,19 @@ def _scan(n: int, descending: bool,
                  for used in range(n + 1))
 
 
-def _expand(row: tuple[tuple[int, int], ...], word: int, front: int,
+def _expand(row: tuple[tuple[int, int], ...], word: int, queue: list[int],
             visited: bytearray, closing: bool) -> list[int]:
     """The symbols of ``row`` legal after ``word``, in the row's order: each
     reaches an unvisited word by setting a bit or by clearing the queue
-    ``front``, or clears the front back to 0 when ``closing`` (every word
-    visited).  ``push`` applies the same rule to one symbol."""
+    front, the oldest set bit; when ``closing`` (every word visited), only
+    the front may be cleared, back to 0.  ``push`` applies the same rule
+    to one symbol."""
+    front = queue[len(queue) - word.bit_count()] if word else -1
+    if closing:
+        return [front] if word == 1 << front else []
     kids = []
     for p, b in row:
-        if word & b:
-            if p == front and (not visited[word ^ b] or (word == b and closing)):
-                kids.append(p)
-        elif not visited[word | b]:
+        if (p == front or not word & b) and not visited[word ^ b]:
             kids.append(p)
     return kids
 
@@ -91,12 +92,12 @@ class SearchConfig:
     prefix: Optional[TransitionSequence] = None
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-    emit: str = "canonical-codes"  # count-only | canonical-codes | all-codes
+    emit: str = "canonical-codes"  # count-only | canonical-codes
 
     def __post_init__(self):
         if self.mode not in ("cyclic", "open", "both"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if self.emit not in ("count-only", "canonical-codes", "all-codes"):
+        if self.emit not in ("count-only", "canonical-codes"):
             raise ValueError(f"bad emit {self.emit!r}")
         if self.prefix is not None and self.prefix.n != self.n:
             raise ValueError("prefix n mismatch")
@@ -131,22 +132,22 @@ class EnumerationReport:
 class SearchState:
     """Undo-able DFS state; replayable from any Beckett-consistent prefix.
 
-    The queue is append-only: its live part is ``queue[head:]``, so a
-    dequeue is ``head += 1`` and its undo ``head -= 1``.  Every push logs
-    the previous ``used``, so ``pop`` restores the state exactly.
+    ``queue`` is append-only, every symbol enqueued so far: the queue
+    holds exactly the set bits of ``word`` in the order they were set, so
+    the live queue is its last popcount(word) symbols.  Each step visits
+    a new word except the one that closes a cycle, so ``len(seq) + 1``
+    words are visited, all of them from depth ``2**n - 1`` on.  Every
+    push logs the previous ``used``, so ``pop`` restores the state exactly.
     """
 
-    __slots__ = ("n", "word", "visited", "visited_count", "queue", "head", "used",
-                 "seq", "used_log")
+    __slots__ = ("n", "word", "visited", "queue", "used", "seq", "used_log")
 
     def __init__(self, n: int):
         self.n = n
         self.word = 0
         self.visited = bytearray(1 << n)  # one flag per word
         self.visited[0] = 1
-        self.visited_count = 1
         self.queue: list[int] = []
-        self.head = 0
         self.used = 0  # distinct symbols used so far (restricted growth frontier)
         self.seq: list[int] = []
         self.used_log: list[int] = []
@@ -174,25 +175,15 @@ class SearchState:
 
     def push(self, p: int) -> bool:
         """Apply symbol ``p`` if legal (ignoring restricted growth); else False."""
-        word = self.word
+        word, queue = self.word, self.queue
         new = word ^ (1 << p)
-        if word >> p & 1:
-            if self.head == len(self.queue) or self.queue[self.head] != p:
-                return False
-            if new:
-                if self.visited[new]:
-                    return False
-                self.visited[new] = 1
-                self.visited_count += 1
-            elif self.visited_count != len(self.visited):
-                return False
-            self.head += 1
-        else:
-            if self.visited[new]:
-                return False
-            self.visited[new] = 1
-            self.visited_count += 1
-            self.queue.append(p)
+        if word >> p & 1 and queue[len(queue) - word.bit_count()] != p:
+            return False  # only the queue front may be cleared
+        if self.visited[new] and (new or len(self.seq) != len(self.visited) - 1):
+            return False  # a revisit, other than the 0 that closes a cycle
+        if new > word:  # an enqueue
+            queue.append(p)
+        self.visited[new] = 1
         self.word = new
         self.used_log.append(self.used)
         if p >= self.used:
@@ -206,13 +197,8 @@ class SearchState:
         word = self.word
         if word >> p & 1:  # undo an enqueue
             self.queue.pop()
+        if word:  # a closing dequeue to 0 visited nothing new
             self.visited[word] = 0
-            self.visited_count -= 1
-        else:  # undo a dequeue; a closing dequeue to 0 visited nothing new
-            self.head -= 1
-            if word:
-                self.visited[word] = 0
-                self.visited_count -= 1
         self.word = word ^ (1 << p)
         self.used = self.used_log.pop()
         return p
@@ -237,9 +223,9 @@ class SearchState:
         once and then updated in O(n) per step.
         """
         n = self.n
-        full = 1 << n
+        last = (1 << n) - 1  # the depth at which every word is visited
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
-        word, head, used, count = self.word, self.head, self.used, self.visited_count
+        word, used = self.word, self.used
         root = depth = len(seq)
         scan = _scan(n, True, restricted_growth)
         pending: list[list[int]] = []  # per open level: untried symbols, descending
@@ -257,11 +243,11 @@ class SearchState:
                     stop = depth
         try:
             while True:
-                self.word, self.head, self.used, self.visited_count = word, head, used, count
+                self.word, self.used = word, used
                 yield depth
                 # descending, so that pop() returns ascending
-                kids = _expand(scan[used], word, queue[head] if head < len(queue) else -1,
-                               visited, count == full) if depth < stop else None
+                kids = _expand(scan[used], word, queue, visited,
+                               depth == last) if depth < stop else None
                 if kids:
                     pending.append(kids)
                 else:
@@ -288,13 +274,8 @@ class SearchState:
                                             deficit -= 1
                         if word >> p & 1:
                             queue.pop()
+                        if word:
                             visited[word] = 0
-                            count -= 1
-                        else:
-                            head -= 1
-                            if word:
-                                visited[word] = 0
-                                count -= 1
                         word ^= 1 << p
                         used = used_log.pop()
                         depth -= 1
@@ -303,17 +284,10 @@ class SearchState:
                             break
                         pending.pop()
                 p = kids.pop()
-                if word >> p & 1:
-                    head += 1
-                    word ^= 1 << p
-                    if word:
-                        visited[word] = 1
-                        count += 1
-                else:
+                if not word >> p & 1:
                     queue.append(p)
-                    word |= 1 << p
-                    visited[word] = 1
-                    count += 1
+                word ^= 1 << p
+                visited[word] = 1
                 used_log.append(used)
                 if p >= used:
                     used = p + 1
@@ -337,42 +311,34 @@ class SearchState:
                             deficit -= 2 - a
                     stop = max_depth if deficit <= slack else depth
         finally:
-            self.word, self.head, self.used, self.visited_count = word, head, used, count
+            self.word, self.used = word, used
 
     def descend(
         self, rng: random.Random, stop_at: int, restricted_growth: bool = True
     ) -> list[int]:
         """Push ``rng.choice(children())`` to a leaf or depth ``stop_at``; return
         each step's number of children.  The push step is inlined, as in ``walk``."""
-        full = 1 << self.n
+        last = (1 << self.n) - 1
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
-        word, head, used, count = self.word, self.head, self.used, self.visited_count
+        word, used = self.word, self.used
         scan = _scan(self.n, False, restricted_growth)
         choice = rng.choice
         factors: list[int] = []
         while len(seq) < stop_at:
-            kids = _expand(scan[used], word, queue[head] if head < len(queue) else -1,
-                           visited, count == full)
+            kids = _expand(scan[used], word, queue, visited, len(seq) == last)
             if not kids:
                 break
             factors.append(len(kids))
             p = choice(kids)
-            if word >> p & 1:
-                head += 1
-                word ^= 1 << p
-                if word:
-                    visited[word] = 1
-                    count += 1
-            else:
+            if not word >> p & 1:
                 queue.append(p)
-                word |= 1 << p
-                visited[word] = 1
-                count += 1
+            word ^= 1 << p
+            visited[word] = 1
             used_log.append(used)
             if p >= used:
                 used = p + 1
             seq.append(p)
-        self.word, self.head, self.used, self.visited_count = word, head, used, count
+        self.word, self.used = word, used
         return factors
 
     def sequence(self) -> TransitionSequence:
@@ -421,14 +387,13 @@ def enumerate_beckett(
         if not wanted[kind]:
             continue
         seq = state.sequence()
-        if canonicalize(seq) == seq:
-            if kind == "cyclic":
-                report.count_cyclic += 1
-            else:
-                report.count_open_total += 1
-                report.count_open_strict += state.word & (state.word - 1) != 0
-        elif config.emit != "all-codes":
+        if canonicalize(seq) != seq:
             continue
+        if kind == "cyclic":
+            report.count_cyclic += 1
+        else:
+            report.count_open_total += 1
+            report.count_open_strict += state.word & (state.word - 1) != 0
         if sink is not None:
             sink(kind, seq)
     report.nodes_visited = nodes

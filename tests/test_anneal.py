@@ -21,7 +21,7 @@ def unpruned_completion(prefix, mode):
     target = (1 << n) - (0 if mode == "cyclic" else 1)
     state = SearchState.from_prefix(n, prefix)
     for depth in state.walk(target, restricted_growth=False):
-        if depth == target and (mode == "cyclic" or state.visited_count == 1 << n):
+        if depth == target and (mode == "cyclic" or all(state.visited)):
             return state.sequence(), False
     return None, True
 

@@ -143,6 +143,13 @@ class TestEnumerate:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("shard", [[], ["--depth", "3"]])
+    def test_inconsistent_prefix_is_a_usage_error(self, shard):
+        # 00 clears bit 0 back to the visited word 0
+        r = run_cli("enumerate", "-n", "3", "--prefix", "00", "--count-only", *shard)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")
         assert "0102101" in r.stdout

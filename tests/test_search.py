@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from beckettgray.anneal import complete_backtrack
-from beckettgray.beckett import BeckettKind, classify_beckett
+from beckettgray.beckett import BeckettKind, classify_beckett, queue_trace
 from beckettgray.canonical import canonicalize
 from beckettgray.core import (
     GrayKind,
@@ -105,7 +105,7 @@ class TestUnprunedOracle:
 
         def dfs(state):
             depth = len(state.seq)
-            if depth == (1 << n) - 1 and state.visited_count == (1 << n):
+            if depth == (1 << n) - 1 and all(state.visited):
                 found.add(("open", canonicalize(state.sequence()).symbols))
             if depth == (1 << n):
                 found.add(("cyclic", canonicalize(state.sequence()).symbols))
@@ -238,15 +238,25 @@ def _stack_depth():
 
 def _snapshot(state):
     return (
-        state.word, bytes(state.visited), state.visited_count,
-        state.queue[state.head:], state.used, list(state.seq),
+        state.word, bytes(state.visited), list(state.queue), state.used,
+        list(state.seq),
     )
+
+
+def _assert_derived_state(state):
+    # the state stores neither the visited count nor the live queue: each
+    # step but the closing one visits a new word, and the live queue must
+    # match the queue checker's independent replay
+    assert sum(state.visited) == min(len(state.seq) + 1, 1 << state.n)
+    live = state.queue[len(state.queue) - state.word.bit_count():]
+    assert tuple(live) == queue_trace(state.sequence())[-1]
 
 
 class TestUndoKernel:
     def test_pop_restores_every_field(self):
         rng = random.Random(7)
-        for n in (3, 4, 5):
+        # every random descent for n = 1 and 2 closes a cycle
+        for n in (1, 2, 3, 4, 5):
             state, snapshots = SearchState(n), []
             while True:
                 children = state.children(restricted_growth=False)
@@ -254,10 +264,14 @@ class TestUndoKernel:
                     break
                 snapshots.append(_snapshot(state))
                 assert state.push(rng.choice(children))
+                _assert_derived_state(state)
                 replayed = SearchState.from_prefix(n, state.sequence())
                 assert _snapshot(replayed) == _snapshot(state)
+            if n <= 2:
+                assert len(state.seq) == 1 << n and state.word == 0
             while snapshots:
                 state.pop()
+                _assert_derived_state(state)
                 assert _snapshot(state) == snapshots.pop()
 
     def test_walk_returns_to_its_start(self):
