@@ -17,17 +17,17 @@ from typing import Optional
 from .core import TransitionSequence
 from .search import SearchState
 
+INITIAL_TEMPERATURE = 2.0
+COOLING_FACTOR = 0.995
+STEPS_PER_TEMPERATURE = 200
 TEMPERATURE_FLOOR = 0.05
+MAX_BACKTRACK_CUT = 12  # longest suffix one move cuts
 
 
 @dataclass(frozen=True)
 class AnnealConfig:
     n: int
     mode: str = "cyclic"  # cyclic | open
-    initial_temperature: float = 2.0
-    cooling_factor: float = 0.995
-    steps_per_temperature: int = 200
-    max_backtrack_cut: int = 12
     # default 5/8 of the word count: short enough that attempts stay
     # millisecond-scale, long enough that completion subtrees are searchable
     seed_handoff_length: Optional[int] = None
@@ -41,8 +41,10 @@ class AnnealConfig:
     def __post_init__(self):
         if self.mode not in ("cyclic", "open"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling_factor must be in (0, 1)")
+        for name in ("seed_handoff_length", "target_length"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= self.complete_length:
+                raise ValueError(f"{name}={value} outside [0, {self.complete_length}]")
 
     @property
     def handoff(self) -> int:
@@ -90,13 +92,13 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
     current.descend(rng, target, restricted_growth=False)
     best = list(current.seq)
 
-    temperature = config.initial_temperature
+    temperature = INITIAL_TEMPERATURE
     while temperature > TEMPERATURE_FLOOR and len(best) < stop_len:
-        for _ in range(config.steps_per_temperature):
+        for _ in range(STEPS_PER_TEMPERATURE):
             cur_len = len(current.seq)
             if cur_len >= target:
                 break
-            cut = rng.randint(1, min(config.max_backtrack_cut, max(cur_len, 1)))
+            cut = rng.randint(1, min(MAX_BACKTRACK_CUT, max(cur_len, 1)))
             keep = max(0, cur_len - cut)
             suffix = current.seq[keep:]
             while len(current.seq) > keep:
@@ -115,7 +117,7 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
                 best = list(current.seq)
                 if len(best) >= stop_len:
                     break
-        temperature *= config.cooling_factor
+        temperature *= COOLING_FACTOR
     return TransitionSequence(n, tuple(best))
 
 
@@ -165,7 +167,6 @@ def hunt(config: AnnealConfig) -> HuntResult:
         seed = base * 1_000_003 + attempt
         attempt_config = replace(
             config,
-            restarts=1,
             rng_seed=seed,
             target_length=config.target_length or config.handoff,
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .beckett import BeckettKind, classify_beckett
 from .core import (
     GrayKind,
     TransitionSequence,
@@ -73,8 +74,6 @@ def canonicalize(seq: TransitionSequence) -> TransitionSequence:
     participates only when it is itself a valid zero-anchored Beckett
     code, which keeps canonicalize closed over actual codes.
     """
-    from .beckett import BeckettKind, classify_beckett
-
     forward = relabel_first_occurrence(seq)
     backward = relabel_first_occurrence(reverse_seq(seq))
     kind = classify_beckett(backward).kind

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -23,6 +22,7 @@ from . import estimate as estimate_mod
 from .beckett import BeckettKind, BeckettViolationError, classify_beckett, queue_trace
 from .canonical import are_isomorphic_beckett, canonicalize
 from .core import (
+    MAX_BITS,
     MalformedSequenceError,
     TransitionSequence,
     format_symbols,
@@ -37,6 +37,21 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
+
+
+def _int_in(lo: int, hi: float = float("inf")):
+    """An argparse type: an int in [lo, hi], a usage error otherwise."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} outside [{lo}, {hi}]")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
+
+
+_bits = _int_in(1, MAX_BITS)
 
 
 def _input_sequences(n: int, args_seqs: list[str]) -> Iterable[TransitionSequence]:
@@ -218,16 +233,20 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_hunt(args) -> int:
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2**32)
+    try:
+        config = anneal_mod.AnnealConfig(
+            n=args.n,
+            mode=args.mode,
+            rng_seed=seed,
+            restarts=args.restarts,
+            completion_budget=args.budget,
+            seed_handoff_length=args.handoff,
+        )
+    except ValueError as e:  # a handoff length out of range
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     if args.seed is None:
         print(f"seed={seed} (auto-chosen)")
-    config = anneal_mod.AnnealConfig(
-        n=args.n,
-        mode=args.mode,
-        rng_seed=seed,
-        restarts=args.restarts,
-        completion_budget=args.budget,
-        seed_handoff_length=args.handoff,
-    )
     result = anneal_mod.hunt(config)
     if result.found is not None:
         print(f"n={args.n} mode={args.mode}")
@@ -276,23 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="classify transition sequences")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_bits, required=True)
     p.add_argument("sequence", nargs="*", help="sequences (default: stdin)")
     p.add_argument("--trace", action="store_true", help="print the queue trace")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("canonicalize", help="print canonical forms")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_bits, required=True)
     p.add_argument("sequence", nargs="*")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=_cmd_canonicalize)
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate codes")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both")
     p.add_argument("--prefix", help="root the search at this partial sequence")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("BECKETTGRAY_JOBS", 1)))
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--depth", type=int, help="prefix-shard depth for parallel runs")
     p.add_argument("--out", help="append codes, shard checkpoints and report here")
     p.add_argument("--count-only", action="store_true")
@@ -302,15 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("estimate", help="Monte-Carlo search-tree size estimate")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_int_in(1), default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("hunt", help="anneal + backtrack search for a code")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open"], default="cyclic")
     p.add_argument("--seed", type=int)
     p.add_argument("--restarts", type=int, default=30_000)
@@ -320,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hunt)
 
     p = sub.add_parser("brgc", help="print the binary reflected Gray code")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--trace", action="store_true", help="show the two-stack states")
     p.set_defaults(func=_cmd_brgc)
 

@@ -65,10 +65,10 @@ def estimate_tree_size(
     )
 
 
-def exact_tree_size(config: SearchConfig, budget_override: bool = False) -> int:
+def exact_tree_size(config: SearchConfig) -> int:
     """Exact node count of the pruned tree (ground truth for the estimator)."""
-    if config.n > 5 and not budget_override:
-        raise ValueError("exact count beyond n=5 needs an explicit budget override")
+    if config.n > 5:
+        raise ValueError("exact tree size limited to n <= 5")
     report = enumerate_beckett(replace(config, emit="count-only"))
     if report.truncated:
         raise RuntimeError("exact tree count truncated by budget")

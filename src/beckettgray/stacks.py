@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import WordPath, transitions_of
+from .core import MAX_BITS, WordPath, transitions_of
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class PopNotTopError(ValueError):
 
 def brgc(n: int) -> WordPath:
     """The standard reflected Gray code: word i = i XOR (i >> 1)."""
-    if not 1 <= n <= 24:
-        raise ValueError(f"n={n} outside [1, 24]")
+    if not 1 <= n <= MAX_BITS:
+        raise ValueError(f"n={n} outside [1, {MAX_BITS}]")
     return WordPath(n, tuple(i ^ (i >> 1) for i in range(1 << n)))
 
 
@@ -94,25 +94,3 @@ def is_two_stack_realizable(path: WordPath) -> tuple[bool, Optional[PopNotTop]]:
         return False, e.diagnostics
     return True, None
 
-
-def reversed_trace_is_legal(path: WordPath) -> bool:
-    """Check the path backward: each reversed step is a legal stack move.
-
-    Replays the forward trace to seed the stacks, then walks the steps in
-    reverse; a forward push undone is a pop of the top, a forward pop
-    undone is a push, both always legal on the recorded states.  Stack
-    operations being time reversible, this succeeds iff the forward trace
-    does.
-    """
-    states = two_stack_trace(path)
-    for i in range(len(states) - 1, 0, -1):
-        cur, prev = states[i], states[i - 1]
-        for a, b in ((cur.even_stack, prev.even_stack), (cur.odd_stack, prev.odd_stack)):
-            if a == b:
-                continue
-            if len(a) == len(b) + 1 and a[:-1] == b:
-                continue  # undoing a push: pop of the current top
-            if len(b) == len(a) + 1 and b[:-1] == a:
-                continue  # undoing a pop: push back
-            return False
-    return True

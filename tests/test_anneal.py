@@ -26,6 +26,20 @@ def unpruned_completion(prefix, mode):
     return None, True
 
 
+class TestAnnealConfig:
+    @pytest.mark.parametrize("mode,field,value", [
+        ("open", "seed_handoff_length", 16), ("open", "seed_handoff_length", -3),
+        ("cyclic", "target_length", 17), ("cyclic", "target_length", -1),
+    ])
+    def test_lengths_outside_the_code_are_rejected(self, mode, field, value):
+        with pytest.raises(ValueError):
+            AnnealConfig(n=4, mode=mode, **{field: value})
+
+    @pytest.mark.parametrize("mode,length", [("open", 15), ("cyclic", 16), ("cyclic", 0)])
+    def test_lengths_within_the_code_are_accepted(self, mode, length):
+        AnnealConfig(n=4, mode=mode, seed_handoff_length=length, target_length=length)
+
+
 class TestAnnealPartial:
     def test_one_bit_completes_immediately(self):
         result = anneal_partial(AnnealConfig(n=1, mode="open", rng_seed=0))

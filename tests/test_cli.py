@@ -219,6 +219,24 @@ class TestOtherCommands:
         assert r.returncode == 0
         assert "open-beckett" in r.stdout
 
-    def test_usage_error(self):
-        r = run_cli("enumerate")
-        assert r.returncode == 2
+    @pytest.mark.parametrize("args", [
+        pytest.param(["enumerate"], id="enumerate"),
+        pytest.param(["verify", "-n", "25", "0"], id="verify-n25"),
+        pytest.param(["canonicalize", "-n", "0", "0"], id="canonicalize-n0"),
+        pytest.param(["brgc", "-n", "25"], id="brgc-n25"),
+        pytest.param(["hunt", "-n", "0", "--seed", "1"], id="hunt-n0"),
+        pytest.param(["estimate", "-n", "25", "--samples", "1", "--seed", "1"], id="estimate-n25"),
+        pytest.param(["enumerate", "-n", "25", "--count-only", "--node-limit", "5"],
+                     id="enumerate-n25"),
+        pytest.param(["enumerate", "-n", "0"], id="enumerate-n0"),
+        pytest.param(["estimate", "-n", "3", "--samples", "0", "--seed", "1"], id="samples0"),
+        # the stop length 16 exceeds the 15 steps of an open 4-bit code
+        pytest.param(["hunt", "-n", "4", "--mode", "open", "--seed", "1", "--handoff", "16"],
+                     id="handoff16"),
+        pytest.param(["hunt", "-n", "4", "--mode", "open", "--seed", "1", "--handoff", "-3"],
+                     id="handoff-3"),
+    ])
+    def test_usage_error(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr

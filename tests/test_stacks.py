@@ -6,7 +6,6 @@ from beckettgray.stacks import (
     TwoStackState,
     brgc,
     is_two_stack_realizable,
-    reversed_trace_is_legal,
     two_stack_trace,
 )
 
@@ -102,10 +101,6 @@ class TestRealizability:
         ok, diag = is_two_stack_realizable(path)
         assert not ok
         assert diag.step == 3
-
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_reversed_trace_legal(self, n):
-        assert reversed_trace_is_legal(brgc(n))
 
     @pytest.mark.parametrize("k", range(1, 20))
     def test_midpoint_structure(self, k):

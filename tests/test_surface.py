@@ -1,0 +1,45 @@
+"""The public surface: the package's ``__all__`` and every CLI option.
+
+Simplifications must keep both as they are; a change here is an API or
+CLI change and should be made on purpose.
+"""
+
+import argparse
+
+import beckettgray
+from beckettgray import cli
+
+PUBLIC_NAMES = [
+    "AnnealConfig", "BeckettClassification", "BeckettKind", "BeckettViolation",
+    "BeckettViolationError", "CompletionResult", "EnumerationReport", "EstimateReport",
+    "GrayClassification", "GrayKind", "HuntResult", "IsomorphismWitness", "SearchConfig",
+    "TransitionSequence", "TwoStackState", "WordPath", "anneal_partial", "apply_transitions",
+    "are_isomorphic_beckett", "brgc", "canonicalize", "classify_beckett", "classify_gray",
+    "complete_backtrack", "enumerate_beckett", "enumerate_gray_cycles_small",
+    "estimate_tree_size", "exact_tree_size", "hunt", "is_two_stack_realizable",
+    "load_fixtures", "queue_trace", "relabel_first_occurrence", "reverse_seq", "self_check",
+    "self_reverse_witness", "split_prefixes", "transitions_of", "two_stack_trace",
+]
+
+CLI_OPTIONS = {
+    "verify": ["-h", "--help", "-n", "--trace", "--json"],
+    "canonicalize": ["-h", "--help", "-n", "--witness"],
+    "enumerate": ["-h", "--help", "-n", "--mode", "--prefix", "--jobs", "--depth", "--out",
+                  "--count-only", "--node-limit", "--time-limit", "--json"],
+    "estimate": ["-h", "--help", "-n", "--mode", "--samples", "--seed", "--json"],
+    "hunt": ["-h", "--help", "-n", "--mode", "--seed", "--restarts", "--budget", "--handoff",
+             "--out"],
+    "brgc": ["-h", "--help", "-n", "--trace"],
+    "selfcheck": ["-h", "--help"],
+}
+
+
+def test_public_names():
+    assert sorted(beckettgray.__all__) == PUBLIC_NAMES
+
+
+def test_cli_options():
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    assert {name: [s for a in p._actions for s in a.option_strings]
+            for name, p in sub.choices.items()} == CLI_OPTIONS
