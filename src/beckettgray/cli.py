@@ -170,6 +170,7 @@ def _cmd_enumerate(args) -> int:
     )
     sharded = args.jobs > 1 or args.depth
     if sharded:
+        start = time.perf_counter()
         # one time budget for the whole run, split included, not one per shard
         deadline = None if args.time_limit is None else time.time() + args.time_limit
         try:
@@ -187,8 +188,10 @@ def _cmd_enumerate(args) -> int:
 
     if sharded:
         done = _read_checkpoint(args.out, args.n, mode) if args.out else {}
-        # a cut split runs and records no shard, so a resume splits again
-        total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow, truncated=cut)
+        # a cut split runs and records no shard, so a resume splits again;
+        # the split is then all the time this run took
+        total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow, truncated=cut,
+                                  elapsed=time.perf_counter() - start if cut else 0.0)
         pending = []
         for shard in shards:
             if str(shard.prefix) in done:
@@ -196,8 +199,14 @@ def _cmd_enumerate(args) -> int:
             else:
                 pending.append(replace(base, prefix=shard.prefix))
         emit_line(f"n={args.n} mode={mode}")
+        mark = start
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for prefix_str, report, emitted in pool.map(_run_shard, pending, repeat(deadline)):
+                # a shard is charged the wall time since the one before it came in
+                # (the first, since the start), so the shards of a run sum to its
+                # wall time, and a resume adds up the recorded ones the same way
+                now = time.perf_counter()
+                report.elapsed, mark = now - mark, now
                 for kind, text in emitted:
                     emit_line(text)
                 emit_line(_shard_line(prefix_str, report))
@@ -311,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both")
     p.add_argument("--prefix", help="root the search at this partial sequence")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--depth", type=int, help="prefix-shard depth for parallel runs")
+    p.add_argument("--jobs", type=_int_in(1), default=1)
+    p.add_argument("--depth", type=_int_in(0), help="prefix-shard depth for parallel runs")
     p.add_argument("--out", help="append codes, shard checkpoints and report here")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--node-limit", type=int)
+    p.add_argument("--node-limit", type=_int_in(0))
     p.add_argument("--time-limit", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
@@ -332,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open"], default="cyclic")
     p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int, default=30_000)
-    p.add_argument("--budget", type=int, default=300_000)
+    p.add_argument("--restarts", type=_int_in(1), default=30_000)
+    p.add_argument("--budget", type=_int_in(1), default=300_000)
     p.add_argument("--handoff", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hunt)

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
+from operator import xor
 from typing import Iterable, Iterator, Optional, TextIO
 
 MAX_BITS = 24
+_BIT_POSITION = {1 << p: p for p in range(MAX_BITS)}  # one-bit word -> its position
+_SYMBOLS = [frozenset(range(n)) for n in range(MAX_BITS + 1)]  # n -> the symbols [0, n)
 
 
 class MalformedSequenceError(ValueError):
@@ -41,11 +45,13 @@ class TransitionSequence:
         if not 1 <= self.n <= MAX_BITS:
             raise MalformedSequenceError(f"n={self.n} outside [1, {MAX_BITS}]")
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        for i, s in enumerate(self.symbols):
-            if not 0 <= s < self.n:
-                raise MalformedSequenceError(
-                    f"symbol {s} at index {i} outside [0, {self.n})"
-                )
+        # one C-level membership pass; the loop runs only to report the first bad symbol
+        if not _SYMBOLS[self.n].issuperset(self.symbols):
+            for i, s in enumerate(self.symbols):
+                if not 0 <= s < self.n:
+                    raise MalformedSequenceError(
+                        f"symbol {s} at index {i} outside [0, {self.n})"
+                    )
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -67,9 +73,11 @@ class WordPath:
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
         limit = 1 << self.n
-        for w in self.words:
-            if not 0 <= w < limit:
-                raise MalformedSequenceError(f"word {w} does not fit in {self.n} bits")
+        # C-level min and max; the loop runs only to report the first bad word
+        if self.words and not (0 <= min(self.words) and max(self.words) < limit):
+            for w in self.words:
+                if not 0 <= w < limit:
+                    raise MalformedSequenceError(f"word {w} does not fit in {self.n} bits")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -108,15 +116,18 @@ def apply_transitions(start: int, seq: TransitionSequence) -> WordPath:
 
 def transitions_of(path: WordPath) -> TransitionSequence:
     """Read off the flipped bit position between each consecutive word pair."""
-    if len(path.words) == 0:
+    words = path.words
+    if not words:
         raise MalformedSequenceError("empty word path")
-    symbols = []
-    for i in range(len(path.words) - 1):
-        diff = path.words[i] ^ path.words[i + 1]
-        if diff == 0 or diff & (diff - 1):
-            raise NotAGrayStepError(i, path.words[i], path.words[i + 1])
-        symbols.append(diff.bit_length() - 1)
-    return TransitionSequence(path.n, tuple(symbols))
+    try:
+        symbols = tuple(map(_BIT_POSITION.__getitem__, map(xor, words, islice(words, 1, None))))
+    except KeyError:  # a pair not one flip apart, or one flip of a bit past MAX_BITS
+        for i, (a, b) in enumerate(zip(words, islice(words, 1, None))):
+            diff = a ^ b
+            if diff == 0 or diff & (diff - 1):
+                raise NotAGrayStepError(i, a, b) from None
+        symbols = ()  # each pair is one flip, so a word has n > MAX_BITS bits: rejected below
+    return TransitionSequence(path.n, symbols)
 
 
 def classify_gray(seq: TransitionSequence) -> GrayClassification:

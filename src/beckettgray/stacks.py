@@ -7,6 +7,7 @@ matching stack; a 1->0 flip must pop that stack's top.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -55,16 +56,18 @@ def brgc(n: int) -> WordPath:
 
 
 def _stack_steps(path: WordPath) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield the live (even, odd) stacks before the first step and after each."""
+    """Yield the live (even, odd) stacks before the first step and after each.
+
+    Every step yields the same tuple of the two lists, changed in place.
+    """
     if path.words and path.words[0] != 0:
         raise ValueError("two-stack trace starts from the all-zero word")
     seq = transitions_of(path)
-    even: list[int] = []
-    odd: list[int] = []
+    stacks: tuple[list[int], list[int]] = ([], [])
     word = 0
-    yield even, odd
+    yield stacks
     for i, p in enumerate(seq.symbols):
-        stack = even if p % 2 == 0 else odd
+        stack = stacks[p & 1]
         if word >> p & 1:
             if not stack or stack[-1] != p:
                 top = stack[-1] if stack else None
@@ -73,7 +76,7 @@ def _stack_steps(path: WordPath) -> Iterator[tuple[list[int], list[int]]]:
         else:
             stack.append(p)
         word ^= 1 << p
-        yield even, odd
+        yield stacks
 
 
 def two_stack_trace(path: WordPath) -> list[TwoStackState]:
@@ -88,8 +91,7 @@ def two_stack_trace(path: WordPath) -> list[TwoStackState]:
 def is_two_stack_realizable(path: WordPath) -> tuple[bool, Optional[PopNotTop]]:
     """Whether the whole path survives the parity-stack discipline."""
     try:
-        for _ in _stack_steps(path):
-            pass
+        deque(_stack_steps(path), maxlen=0)  # drain at C speed
     except PopNotTopError as e:
         return False, e.diagnostics
     return True, None

@@ -2,12 +2,15 @@ import os
 import re
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import beckettgray
 from beckettgray import cli
+from beckettgray.search import enumerate_beckett
 
 # the command runs the package these tests import, wherever it was found
 PACKAGE_ROOT = str(Path(beckettgray.__file__).parents[1])
@@ -180,6 +183,50 @@ class TestShardedAgreesWithUnsharded:
         assert enumerate_report(capsys, *args) == whole
 
 
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs the shards in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+class TestShardedElapsed:
+    def run(self, capsys, *args):
+        start = time.perf_counter()
+        code = cli.main(["enumerate", *args, "--count-only"])
+        wall = time.perf_counter() - start
+        lines = capsys.readouterr().out.splitlines()
+        report = dict(f.split("=", 1) for f in lines[-1].split()[1:])
+        shards = [float(re.search(r" elapsed=(\S+)", ln).group(1))
+                  for ln in lines if ln.startswith("shard=")]
+        return code, float(report["elapsed"]), shards, wall
+
+    def test_report_is_wall_time_not_the_sum_of_shard_times(self, capsys, monkeypatch):
+        def slow_shards(config, on_code):  # each shard claims 1,000 s of its own
+            return replace(enumerate_beckett(config, on_code), elapsed=1000.0)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "enumerate_beckett", slow_shards)
+        code, elapsed, shards, wall = self.run(capsys, "-n", "4", "--depth", "3", "--jobs", "2")
+        assert code == 0 and len(shards) > 1
+        assert 0 < elapsed <= wall
+        assert elapsed == pytest.approx(sum(shards))
+
+    def test_split_cut_by_the_time_limit_reports_its_time(self, capsys):
+        code, elapsed, shards, wall = self.run(
+            capsys, "-n", "5", "--depth", "31", "--time-limit", "0.01")
+        assert code == 3 and shards == []
+        assert 0.01 <= elapsed <= wall
+
+
 class TestOtherCommands:
     def test_canonicalize_stdin(self):
         r = run_cli("canonicalize", "-n", "3", stdin="1012010\n")
@@ -235,6 +282,16 @@ class TestOtherCommands:
                      id="handoff16"),
         pytest.param(["hunt", "-n", "4", "--mode", "open", "--seed", "1", "--handoff", "-3"],
                      id="handoff-3"),
+        # counts below their least value: 1 job, restart and budget node; depth and node limit 0
+        pytest.param(["enumerate", "-n", "3", "--jobs", "0", "--depth", "2", "--count-only"],
+                     id="jobs0"),
+        pytest.param(["enumerate", "-n", "3", "--depth", "-1", "--count-only"], id="depth-1"),
+        pytest.param(["enumerate", "-n", "3", "--node-limit", "-1", "--count-only"],
+                     id="node-limit-1"),
+        pytest.param(["hunt", "-n", "4", "--seed", "1", "--restarts", "-5"], id="restarts-5"),
+        pytest.param(["hunt", "-n", "4", "--seed", "1", "--restarts", "0"], id="restarts0"),
+        pytest.param(["hunt", "-n", "4", "--seed", "1", "--budget", "-1"], id="budget-1"),
+        pytest.param(["hunt", "-n", "4", "--seed", "1", "--budget", "0"], id="budget0"),
     ])
     def test_usage_error(self, args):
         r = run_cli(*args)

@@ -65,6 +65,96 @@ class TestTransitionsOf:
             transitions_of(WordPath(3, (0b001, 0b001)))
 
 
+# Error reports of the checks below, recorded from the per-word loops they
+# replaced; the fast paths must report the first bad element the same way.
+class TestErrorReports:
+    BRGC6 = tuple(i ^ (i >> 1) for i in range(64))
+
+    @pytest.mark.parametrize("words, index, a, b, message", [
+        pytest.param(BRGC6[:21] + BRGC6[20:], 20, 0x1e, 0x1e,
+                     "words at steps 20 and 21 differ in 0 bits (0x1e vs 0x1e)", id="repeat"),
+        pytest.param(BRGC6[:30] + BRGC6[31:], 29, 0x13, 0x10,
+                     "words at steps 29 and 30 differ in 2 bits (0x13 vs 0x10)", id="two-bit"),
+    ])
+    def test_first_bad_step_mid_path(self, words, index, a, b, message):
+        with pytest.raises(NotAGrayStepError) as e:
+            transitions_of(WordPath(6, words))
+        assert (e.value.index, str(e.value)) == (index, message)
+        assert (words[index], words[index + 1]) == (a, b)
+
+    def test_bad_step_is_reported_before_an_n_past_max_bits(self):
+        with pytest.raises(NotAGrayStepError) as e:
+            transitions_of(WordPath(25, (0, 1 << 24, 3 | 1 << 24)))
+        assert e.value.index == 1
+        with pytest.raises(MalformedSequenceError, match=r"^n=25 outside \[1, 24\]$"):
+            transitions_of(WordPath(25, (0, 1 << 24)))
+
+    def test_empty_and_single_word_paths(self):
+        with pytest.raises(MalformedSequenceError, match="^empty word path$"):
+            transitions_of(WordPath(6, ()))
+        assert transitions_of(WordPath(6, (5,))).symbols == ()
+
+    @pytest.mark.parametrize("symbols, message", [
+        ((0, 1, 2, -1, 5), "symbol -1 at index 3 outside [0, 4)"),
+        ((0, 4, -1), "symbol 4 at index 1 outside [0, 4)"),
+        ((0, 1, -7), "symbol -7 at index 2 outside [0, 4)"),
+    ])
+    def test_first_symbol_out_of_range(self, symbols, message):
+        with pytest.raises(MalformedSequenceError) as e:
+            TransitionSequence(4, symbols)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("words, message", [
+        ((0, 1, 9, -1), "word 9 does not fit in 3 bits"),
+        ((0, -2, 9), "word -2 does not fit in 3 bits"),
+        ((0, 1, 8), "word 8 does not fit in 3 bits"),
+        ((0, -1, 1), "word -1 does not fit in 3 bits"),
+    ])
+    def test_first_word_that_does_not_fit(self, words, message):
+        with pytest.raises(MalformedSequenceError) as e:
+            WordPath(3, words)
+        assert str(e.value) == message
+
+    @staticmethod
+    def outcome(f):
+        try:
+            return f()
+        except (NotAGrayStepError, MalformedSequenceError) as e:
+            return type(e), getattr(e, "index", None), str(e)
+
+    @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=12))
+    def test_transitions_agree_with_the_per_word_loop(self, n, words):
+        words = tuple(w % (1 << n) for w in words)
+
+        def reference():  # the loop the C-level pass replaced
+            if not words:
+                raise MalformedSequenceError("empty word path")
+            symbols = []
+            for i in range(len(words) - 1):
+                diff = words[i] ^ words[i + 1]
+                if diff == 0 or diff & (diff - 1):
+                    raise NotAGrayStepError(i, words[i], words[i + 1])
+                symbols.append(diff.bit_length() - 1)
+            return tuple(symbols)
+
+        got = self.outcome(lambda: transitions_of(WordPath(n, words)).symbols)
+        assert got == self.outcome(reference)
+
+    @given(st.integers(1, 5), st.lists(st.integers(-2, 7), max_size=12))
+    def test_range_check_agrees_with_the_per_symbol_loop(self, n, symbols):
+        bad = [(i, s) for i, s in enumerate(symbols) if not 0 <= s < n]
+        expected = tuple(symbols) if not bad else (
+            MalformedSequenceError, None, f"symbol {bad[0][1]} at index {bad[0][0]} outside [0, {n})")
+        assert self.outcome(lambda: TransitionSequence(n, symbols).symbols) == expected
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_reflected_code_reads_as_the_ruler_sequence(self, n):
+        # step i flips the lowest set bit of i + 1
+        ruler = tuple(((i + 1) & -(i + 1)).bit_length() - 1 for i in range((1 << n) - 1))
+        words = tuple(i ^ (i >> 1) for i in range(1 << n))
+        assert transitions_of(WordPath(n, words)).symbols == ruler
+
+
 class TestClassifyGray:
     def test_open(self):
         assert classify_gray(seq(3, "0102101")).kind is GrayKind.OPEN

@@ -2,6 +2,7 @@ import pytest
 
 from beckettgray.core import GrayKind, WordPath, apply_transitions, classify_gray, parse_symbols, transitions_of
 from beckettgray.stacks import (
+    PopNotTop,
     PopNotTopError,
     TwoStackState,
     brgc,
@@ -115,6 +116,25 @@ class TestRealizability:
         holder, other = (stacks[0], stacks[1]) if (k - 1) % 2 == 0 else (stacks[1], stacks[0])
         assert holder == (k - 1,)
         assert other == ()
+
+
+class TestNotRealizable:
+    # the reflected 6-bit code with bits 0 and 1 swapped: a Gray path that
+    # breaks the parity-stack discipline; verdicts recorded at the step loop
+    SWAPPED = WordPath(6, tuple((w & ~3) | (w & 1) << 1 | (w >> 1 & 1) for w in brgc(6).words))
+
+    def test_verdict_carries_the_first_pop_not_on_top(self):
+        assert is_two_stack_realizable(self.SWAPPED) == (False, PopNotTop(5, 0, 2))
+
+    def test_trace_raises_the_same_diagnostics(self):
+        with pytest.raises(PopNotTopError) as e:
+            two_stack_trace(self.SWAPPED)
+        assert e.value.diagnostics == PopNotTop(5, 0, 2)
+        assert str(e.value) == "step 5: position 0 flipped 1->0 but even stack top is 2"
+
+    def test_path_not_from_zero(self):
+        with pytest.raises(ValueError, match="starts from the all-zero word"):
+            is_two_stack_realizable(WordPath(3, (1, 3)))
 
 
 class TestStateFormatting:
