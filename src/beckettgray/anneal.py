@@ -173,25 +173,14 @@ def hunt(config: AnnealConfig) -> HuntResult:
         partial = anneal_partial(attempt_config)
         best_partial = max(best_partial, len(partial))
         if len(partial) == config.complete_length:
-            # the annealer itself finished; verify via replay and return
+            found = partial  # the annealer itself finished
+        else:
+            seed_prefix = TransitionSequence(config.n, partial.symbols[: config.handoff])
+            found = complete_backtrack(seed_prefix, config.mode, config.completion_budget).found
+        if found is not None:
             return HuntResult(
-                found=partial,
-                best_partial_length=best_partial,
-                attempts=attempt + 1,
-                elapsed=time.monotonic() - start,
-                rng_seed=base,
-                winning_seed=seed,
-            )
-        seed_prefix = TransitionSequence(
-            config.n, partial.symbols[: min(config.handoff, len(partial))]
-        )
-        completion = complete_backtrack(
-            seed_prefix, config.mode, config.completion_budget
-        )
-        if completion.found is not None:
-            return HuntResult(
-                found=completion.found,
-                best_partial_length=max(best_partial, len(completion.found)),
+                found=found,
+                best_partial_length=max(best_partial, len(found)),
                 attempts=attempt + 1,
                 elapsed=time.monotonic() - start,
                 rng_seed=base,

@@ -27,6 +27,7 @@ from .core import (
     TransitionSequence,
     format_symbols,
     parse_symbols,
+    read_sequence_file,
     write_sequence_block,
 )
 from .fixtures import self_check
@@ -39,27 +40,23 @@ EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
 
-def _int_in(lo: int, hi: float = float("inf")):
-    """An argparse type: an int in [lo, hi], a usage error otherwise."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
+def _in_range(kind: type, lo: float, hi: float = float("inf")):
+    """An argparse type: a ``kind`` in [lo, hi], a usage error otherwise."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:  # false for NaN too
             raise argparse.ArgumentTypeError(f"{value} outside [{lo}, {hi}]")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    parse.__name__ = kind.__name__  # argparse reports "invalid int value" and the like
     return parse
 
 
-_bits = _int_in(1, MAX_BITS)
+_bits = _in_range(int, 1, MAX_BITS)
 
 
 def _input_sequences(n: int, args_seqs: list[str]) -> Iterable[TransitionSequence]:
-    lines = args_seqs if args_seqs else (ln.strip() for ln in sys.stdin)
-    for line in lines:
-        if not line or line.startswith("#") or line.startswith("n="):
-            continue
-        yield parse_symbols(n, line)
+    return (seq for _, seq in read_sequence_file(args_seqs or sys.stdin, n))
 
 
 def _cmd_verify(args) -> int:
@@ -179,6 +176,7 @@ def _cmd_enumerate(args) -> int:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
     out = open(args.out, "a") if args.out else None
+    done = _read_checkpoint(args.out, args.n, mode) if sharded and args.out else {}
 
     def emit_line(text: str) -> None:
         print(text)
@@ -186,8 +184,8 @@ def _cmd_enumerate(args) -> int:
             out.write(text + "\n")
             out.flush()
 
+    emit_line(f"n={args.n} mode={mode}")
     if sharded:
-        done = _read_checkpoint(args.out, args.n, mode) if args.out else {}
         # a cut split runs and records no shard, so a resume splits again;
         # the split is then all the time this run took
         total = EnumerationReport(n=args.n, mode=mode, nodes_visited=shallow, truncated=cut,
@@ -198,7 +196,6 @@ def _cmd_enumerate(args) -> int:
                 total = total.merge(done[str(shard.prefix)])
             else:
                 pending.append(replace(base, prefix=shard.prefix))
-        emit_line(f"n={args.n} mode={mode}")
         mark = start
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for prefix_str, report, emitted in pool.map(_run_shard, pending, repeat(deadline)):
@@ -213,7 +210,6 @@ def _cmd_enumerate(args) -> int:
                 total = total.merge(report)
         report = total
     else:
-        emit_line(f"n={args.n} mode={mode}")
         report = enumerate_beckett(base, lambda kind, seq: emit_line(str(seq)))
 
     doc = asdict(report)
@@ -320,19 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both")
     p.add_argument("--prefix", help="root the search at this partial sequence")
-    p.add_argument("--jobs", type=_int_in(1), default=1)
-    p.add_argument("--depth", type=_int_in(0), help="prefix-shard depth for parallel runs")
+    p.add_argument("--jobs", type=_in_range(int, 1), default=1)
+    p.add_argument("--depth", type=_in_range(int, 0), help="prefix-shard depth for parallel runs")
     p.add_argument("--out", help="append codes, shard checkpoints and report here")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--node-limit", type=_int_in(0))
-    p.add_argument("--time-limit", type=float)
+    p.add_argument("--node-limit", type=_in_range(int, 0))
+    p.add_argument("--time-limit", type=_in_range(float, 0))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("estimate", help="Monte-Carlo search-tree size estimate")
     p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both")
-    p.add_argument("--samples", type=_int_in(1), default=100_000)
+    p.add_argument("--samples", type=_in_range(int, 1), default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_estimate)
@@ -341,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_bits, required=True)
     p.add_argument("--mode", choices=["cyclic", "open"], default="cyclic")
     p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=_int_in(1), default=30_000)
-    p.add_argument("--budget", type=_int_in(1), default=300_000)
+    p.add_argument("--restarts", type=_in_range(int, 1), default=30_000)
+    p.add_argument("--budget", type=_in_range(int, 1), default=300_000)
     p.add_argument("--handoff", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hunt)

@@ -71,6 +71,8 @@ class WordPath:
     words: tuple[int, ...]
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_BITS:
+            raise MalformedSequenceError(f"n={self.n} outside [1, {MAX_BITS}]")
         object.__setattr__(self, "words", tuple(self.words))
         limit = 1 << self.n
         # C-level min and max; the loop runs only to report the first bad word
@@ -121,12 +123,11 @@ def transitions_of(path: WordPath) -> TransitionSequence:
         raise MalformedSequenceError("empty word path")
     try:
         symbols = tuple(map(_BIT_POSITION.__getitem__, map(xor, words, islice(words, 1, None))))
-    except KeyError:  # a pair not one flip apart, or one flip of a bit past MAX_BITS
+    except KeyError:  # a pair not one flip apart: find the first
         for i, (a, b) in enumerate(zip(words, islice(words, 1, None))):
             diff = a ^ b
             if diff == 0 or diff & (diff - 1):
                 raise NotAGrayStepError(i, a, b) from None
-        symbols = ()  # each pair is one flip, so a word has n > MAX_BITS bits: rejected below
     return TransitionSequence(path.n, symbols)
 
 
@@ -156,8 +157,8 @@ def classify_gray(seq: TransitionSequence) -> GrayClassification:
 
 # ---------------------------------------------------------------------------
 # Textual form: one sequence per line; single decimal digits when n <= 10,
-# comma-separated decimals otherwise.  Files carry "n=<k> mode=<open|cyclic>"
-# header lines before each block of sequences.
+# comma-separated decimals otherwise.  Files carry "n=<k> mode=<...>" header
+# lines, which may hold further key=value fields, before each block of sequences.
 
 def format_symbols(n: int, symbols: Iterable[int]) -> str:
     if n <= 10:
@@ -182,35 +183,33 @@ def parse_symbols(n: int, text: str) -> TransitionSequence:
     return TransitionSequence(n, symbols)
 
 
-def parse_header(line: str) -> tuple[int, str]:
-    """Parse an ``n=<k> mode=<open|cyclic>`` header line."""
-    fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
-    if "n" not in fields or "mode" not in fields:
-        raise MalformedSequenceError(f"bad header line: {line!r}")
-    n = int(fields["n"])
-    mode = fields["mode"]
-    if mode not in ("open", "cyclic"):
-        raise MalformedSequenceError(f"bad mode in header: {mode!r}")
-    return n, mode
+def read_sequence_file(
+    lines: Iterable[str], n: Optional[int] = None
+) -> Iterator[tuple[dict[str, str], TransitionSequence]]:
+    """Yield (header fields, sequence) for each sequence line of ``lines``.
 
-
-def read_sequence_file(fp: TextIO) -> Iterator[tuple[str, TransitionSequence]]:
-    """Yield (mode, sequence) pairs from a header-structured sequence file.
-
-    Lines starting with ``#`` are comments; blank lines are ignored.
+    Blank lines, ``#`` comments, JSON report lines (starting with ``{``)
+    and lines made only of ``key=value`` fields, such as shard records,
+    are skipped; a line of fields that holds ``n`` is the header of the
+    lines after it.  Every other line must parse as a sequence: with
+    ``n`` when given, otherwise with its header's ``n``.
     """
-    n = None
-    mode = None
-    for line in fp:
+    header = None
+    for line in lines:
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] in "#{":
             continue
-        if "=" in line:
-            n, mode = parse_header(line)
+        parts = line.split()
+        if all("=" in part for part in parts):
+            fields = dict(part.split("=", 1) for part in parts)
+            if "n" in fields:
+                if not fields["n"].isdecimal():
+                    raise MalformedSequenceError(f"bad n in header: {line!r}")
+                header = fields
             continue
-        if n is None or mode is None:
+        if n is None and header is None:
             raise MalformedSequenceError("sequence line before any header")
-        yield mode, parse_symbols(n, line)
+        yield header or {}, parse_symbols(int(header["n"]) if n is None else n, line)
 
 
 def write_sequence_block(

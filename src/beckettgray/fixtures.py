@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .beckett import BeckettKind, classify_beckett
 from .canonical import canonicalize
-from .core import TransitionSequence, parse_header, parse_symbols
+from .core import TransitionSequence, read_sequence_file
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,12 @@ def load_fixtures() -> list[FixtureEntry]:
         .read_text()
     )
     entries: list[FixtureEntry] = []
-    label = ""
-    least = True
-    n = mode = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("label="):
-            fields = line.split()
-            label = fields[0].split("=", 1)[1]
-            least = not any(f == "least=no" for f in fields[1:])
-            continue
-        if line.startswith("n="):
-            n, mode = parse_header(line)
-            continue
-        assert n is not None and mode is not None
+    for header, seq in read_sequence_file(text.splitlines()):
+        label = header["label"]
         count = sum(1 for e in entries if e.label.startswith(label))
         name = label if count == 0 else f"{label}#{count}"
-        entries.append(FixtureEntry(name, n, mode, parse_symbols(n, line), least))
+        least = header.get("least") != "no"
+        entries.append(FixtureEntry(name, seq.n, header["mode"], seq, least))
     return entries
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import beckettgray
 from beckettgray import cli
+from beckettgray.core import read_sequence_file
 from beckettgray.search import enumerate_beckett
 
 # the command runs the package these tests import, wherever it was found
@@ -47,6 +48,10 @@ class TestVerify:
         r = run_cli("verify", "-n", "3", "--json", "0102101")
         assert '"classification": "open-beckett"' in r.stdout
 
+    def test_bad_symbol_is_a_usage_error(self):
+        r = run_cli("verify", "-n", "3", "01x")
+        assert r.returncode == 2 and "bad symbol" in r.stderr
+
 
 class TestEnumerate:
     def test_five_bit_cyclic_table(self):
@@ -56,9 +61,26 @@ class TestEnumerate:
         assert r.returncode == 0
 
     def test_pipe_into_verify(self):
-        out = run_cli("enumerate", "-n", "4", "--mode", "open").stdout
-        r = run_cli("verify", "-n", "4", stdin=out)
-        assert r.returncode == 0
+        # shard records and the JSON report are skipped, not read as sequences
+        for extra in ((), ("--depth", "2"), ("--json",)):
+            out = run_cli("enumerate", "-n", "4", "--mode", "open", *extra).stdout
+            r = run_cli("verify", "-n", "4", stdin=out)
+            assert r.returncode == 0, r.stderr
+            assert r.stdout.count("\topen-beckett\n") == 4
+
+    def test_out_file_reads_back_the_printed_codes(self, tmp_path):
+        out = tmp_path / "run.txt"
+        args = ("enumerate", "-n", "4", "--depth", "3", "--out", str(out))
+        # the cut run finishes one shard and records the other as truncated
+        first = run_cli(*args, "--node-limit", "120")
+        second = run_cli(*args)
+        assert (first.returncode, second.returncode) == (3, 0)
+        printed = [ln for r in (first, second) for ln in r.stdout.splitlines()
+                   if ln[0].isdigit()]
+        with out.open() as fp:
+            read = list(read_sequence_file(fp))
+        assert [str(seq) for _, seq in read] == printed and len(printed) == 5
+        assert all(header == {"n": "4", "mode": "both"} for header, _ in read)
 
     def test_truncated_exit_code(self):
         r = run_cli("enumerate", "-n", "5", "--mode", "cyclic", "--node-limit", "100",
@@ -120,6 +142,14 @@ class TestEnumerate:
         old = report(run_cli(*args))
         assert (old["elapsed"], old["nodes_visited"], old["count_open_total"]) == (
             "0.0", "263", "4")
+
+    def test_time_limit_zero_and_inf_are_accepted(self):
+        for limit in ("0", "inf"):
+            for extra in ((), ("--depth", "2")):
+                r = run_cli("enumerate", "-n", "3", "--count-only", "--time-limit", limit,
+                            *extra)
+                assert r.returncode in (0, 3)
+                assert r.stdout.splitlines()[-1].startswith("# n=3 mode=both ")
 
     def test_time_limit_is_one_budget_for_the_whole_sharded_run(self):
         # each shard used to get the whole budget: 469,887 nodes here
@@ -292,6 +322,13 @@ class TestOtherCommands:
         pytest.param(["hunt", "-n", "4", "--seed", "1", "--restarts", "0"], id="restarts0"),
         pytest.param(["hunt", "-n", "4", "--seed", "1", "--budget", "-1"], id="budget-1"),
         pytest.param(["hunt", "-n", "4", "--seed", "1", "--budget", "0"], id="budget0"),
+        # a time budget is a number >= 0; inf is no budget
+        pytest.param(["enumerate", "-n", "5", "--depth", "3", "--count-only", "--time-limit",
+                      "nan"], id="time-limit-nan"),
+        pytest.param(["enumerate", "-n", "4", "--count-only", "--time-limit", "-1"],
+                     id="time-limit-1"),
+        pytest.param(["enumerate", "-n", "5", "--depth", "3", "--count-only", "--time-limit",
+                      "-1"], id="time-limit-1-sharded"),
     ])
     def test_usage_error(self, args):
         r = run_cli(*args)

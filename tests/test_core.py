@@ -82,12 +82,20 @@ class TestErrorReports:
         assert (e.value.index, str(e.value)) == (index, message)
         assert (words[index], words[index + 1]) == (a, b)
 
-    def test_bad_step_is_reported_before_an_n_past_max_bits(self):
+    def test_steps_of_the_top_bit(self):
+        # every word fits in MAX_BITS bits, so a one-bit step always reads off
+        assert transitions_of(WordPath(24, (0, 1 << 23, 3 << 22))).symbols == (23, 22)
         with pytest.raises(NotAGrayStepError) as e:
-            transitions_of(WordPath(25, (0, 1 << 24, 3 | 1 << 24)))
+            transitions_of(WordPath(24, (0, 1 << 23, 3 | 1 << 23)))
         assert e.value.index == 1
+        # a word past the top bit needs an n past MAX_BITS, rejected on construction
         with pytest.raises(MalformedSequenceError, match=r"^n=25 outside \[1, 24\]$"):
-            transitions_of(WordPath(25, (0, 1 << 24)))
+            WordPath(25, (0, 1 << 24, 3 | 1 << 24))
+
+    @pytest.mark.parametrize("n", [-1, 0, 25])
+    def test_word_path_n_outside_the_bit_range(self, n):
+        with pytest.raises(MalformedSequenceError, match=rf"^n={n} outside \[1, 24\]$"):
+            WordPath(n, (0,))
 
     def test_empty_and_single_word_paths(self):
         with pytest.raises(MalformedSequenceError, match="^empty word path$"):
@@ -226,4 +234,24 @@ class TestTextFormat:
         write_sequence_block(buf, 3, "open", codes)
         buf.seek(0)
         parsed = list(read_sequence_file(buf))
-        assert parsed == [("open", codes[0])]
+        assert parsed == [({"n": "3", "mode": "open"}, codes[0])]
+
+    def test_reader_skips_comments_reports_and_records(self):
+        lines = ["# a comment", "", "n=3 mode=both label=x", "0102101", "shard=01 nodes=5",
+                 '{"n": 3}', "  0102  ", "n=12 mode=open", "0,11,5"]
+        assert [(h.get("label"), str(s)) for h, s in read_sequence_file(lines)] == [
+            ("x", "0102101"), ("x", "0102"), (None, "0,11,5")]
+        # a given n parses every sequence, with or without a header
+        assert [s.n for _, s in read_sequence_file(["n=3", "01", "n=5", "01"], n=4)] == [4, 4]
+        assert list(read_sequence_file(["01"], n=2)) == [({}, seq(2, "01"))]
+
+    @pytest.mark.parametrize("lines, message", [
+        (["0102"], "^sequence line before any header$"),
+        (["shard=01 nodes=5", "0102"], "^sequence line before any header$"),
+        (["n=x mode=open", "0102"], "^bad n in header: 'n=x mode=open'$"),
+        (["n=3", "01x"], "^bad symbol in '01x'$"),
+        (["n=3", "0102 mode=open"], "^bad symbol in"),
+    ])
+    def test_reader_rejects_what_it_cannot_read(self, lines, message):
+        with pytest.raises(MalformedSequenceError, match=message):
+            list(read_sequence_file(lines))
