@@ -32,7 +32,7 @@ from .core import (
 )
 from .fixtures import self_check
 from .search import EnumerationReport, SearchConfig, SearchState, enumerate_beckett, split_tree
-from .stacks import brgc, two_stack_trace
+from .stacks import TwoStackState, _stack_steps, brgc
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -225,7 +225,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_estimate(args) -> int:
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2**32)
     if args.seed is None:
-        print(f"seed={seed} (auto-chosen)")
+        print(f"# seed={seed} (auto-chosen)")
     config = SearchConfig(n=args.n, mode=args.mode)
     report = estimate_mod.estimate_tree_size(config, args.samples, seed)
     if args.json:
@@ -251,7 +251,7 @@ def _cmd_hunt(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is None:
-        print(f"seed={seed} (auto-chosen)")
+        print(f"# seed={seed} (auto-chosen)")
     result = anneal_mod.hunt(config)
     if result.found is not None:
         print(f"n={args.n} mode={args.mode}")
@@ -271,9 +271,9 @@ def _cmd_hunt(args) -> int:
 def _cmd_brgc(args) -> int:
     path = brgc(args.n)
     if args.trace:
-        states = two_stack_trace(path)
-        for word, state in zip(path.words, states):
-            print(f"{word:0{args.n}b}  {state}")
+        # each state is printed as it is stepped, never held as a list
+        for word, (even, odd) in zip(path.words, _stack_steps(path)):
+            print(f"{word:0{args.n}b}  {TwoStackState(tuple(even), tuple(odd))}")
     else:
         for word in path.words:
             print(f"{word:0{args.n}b}")

@@ -12,6 +12,7 @@ import beckettgray
 from beckettgray import cli
 from beckettgray.core import read_sequence_file
 from beckettgray.search import enumerate_beckett
+from beckettgray.stacks import brgc, two_stack_trace
 
 # the command runs the package these tests import, wherever it was found
 PACKAGE_ROOT = str(Path(beckettgray.__file__).parents[1])
@@ -270,6 +271,13 @@ class TestOtherCommands:
         r = run_cli("brgc", "-n", "2", "--trace")
         assert "even[0] odd[1]" in r.stdout
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_streamed_brgc_trace_is_the_two_stack_trace(self, capsys, n):
+        assert cli.main(["brgc", "-n", str(n), "--trace"]) == 0
+        path = brgc(n)
+        assert capsys.readouterr().out.splitlines() == [
+            f"{word:0{n}b}  {state}" for word, state in zip(path.words, two_stack_trace(path))]
+
     def test_selfcheck(self):
         r = run_cli("selfcheck")
         assert r.returncode == 0
@@ -281,6 +289,13 @@ class TestOtherCommands:
         r2 = run_cli("estimate", "-n", "3", "--samples", "100", "--seed", "5")
         r3 = run_cli("estimate", "-n", "3", "--samples", "100", "--seed", "5")
         assert r2.stdout == r3.stdout
+
+    def test_auto_seeded_hunt_pipes_into_verify(self):
+        r = run_cli("hunt", "-n", "4", "--mode", "open")
+        assert r.returncode == 0 and r.stdout.startswith("# seed=")
+        v = run_cli("verify", "-n", "4", stdin=r.stdout)
+        assert v.returncode == 0, v.stderr
+        assert v.stdout.count("\topen-beckett\n") == 1
 
     def test_hunt_small(self, tmp_path):
         out = tmp_path / "found.txt"

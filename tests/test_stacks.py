@@ -1,6 +1,19 @@
+import random
+from collections import deque
+
 import pytest
 
-from beckettgray.core import GrayKind, WordPath, apply_transitions, classify_gray, parse_symbols, transitions_of
+from beckettgray import stacks
+from beckettgray.core import (
+    GrayKind,
+    MalformedSequenceError,
+    NotAGrayStepError,
+    WordPath,
+    apply_transitions,
+    classify_gray,
+    parse_symbols,
+    transitions_of,
+)
 from beckettgray.stacks import (
     PopNotTop,
     PopNotTopError,
@@ -141,3 +154,103 @@ class TestStateFormatting:
     def test_bottom_to_top_layout(self):
         state = TwoStackState((2, 0), (1,))
         assert str(state) == "even[2,0] odd[1]"
+
+
+def stepped(path):
+    """The verdict of stepping the whole path word by word."""
+    try:
+        deque(stacks._stack_steps(path), maxlen=0)
+    except PopNotTopError as e:
+        return False, e.diagnostics
+    return True, None
+
+
+def random_walk(rng, n):
+    """A walk from 0 that keeps the stack discipline, but in most walks for
+    one pop that misses the top.
+
+    Below n = 3 no stack holds two positions, so no pop can miss the top.
+    """
+    word, live, words = 0, ([], []), [0]
+    length = rng.randrange(1, 3 * (1 << n))
+    breaking = rng.randrange(length) if rng.random() < 0.6 else length  # from this step on
+    for i in range(length):
+        clear = [p for p in range(n) if not word >> p & 1]
+        tops = [stack[-1] for stack in live if stack]
+        under = [p for stack in live for p in stack[:-1]]
+        if i >= breaking and under:
+            p, breaking = rng.choice(under), length
+        elif tops and (not clear or rng.random() < 0.5):
+            p = rng.choice(tops)
+        else:
+            p = rng.choice(clear)
+        stack = live[p & 1]
+        if p in stack:
+            stack.remove(p)
+        else:
+            stack.append(p)
+        word ^= 1 << p
+        words.append(word)
+    return WordPath(n, tuple(words))
+
+
+class TestPassesAgreeWithTheStepper:
+    def test_seeded_random_walks(self):
+        rng = random.Random(12)
+        outcomes = []
+        for n in range(1, 9):
+            for _ in range(60):
+                path = random_walk(rng, n)
+                expected = stepped(path)
+                assert is_two_stack_realizable(path) == expected, path
+                outcomes.append(expected[0])
+        assert 0.3 < outcomes.count(False) / len(outcomes) < 0.6
+
+    def test_steps_that_carry_or_borrow_are_not_one_flip(self):
+        # each difference is +-2**p, but 1 -> 2 carries and 2 -> 1 borrows
+        rng = random.Random(5)
+        for words in [(0, 1, 2), (0, 2, 1), (0, 1, 2, 3), (0, 1, 3, 4, 0)] + [
+            random_walk(rng, 4).words + (w,) for w in (0, 8, 15) for _ in range(5)
+        ]:
+            path = WordPath(4, words)
+            if all(bin(a ^ b).count("1") == 1 for a, b in zip(words, words[1:])):
+                continue
+            with pytest.raises(NotAGrayStepError) as e:
+                is_two_stack_realizable(path)
+            with pytest.raises(NotAGrayStepError) as expected:
+                transitions_of(path)
+            assert (e.value.index, str(e.value)) == (expected.value.index, str(expected.value))
+
+    def test_the_top_positions_at_24_bits(self):
+        # tokens 22, 23, 22 | 32 and 23 | 32: the largest there are
+        path = WordPath(24, (0, 1 << 22, 3 << 22, 1 << 23, 0))
+        assert is_two_stack_realizable(path) == (True, None) == stepped(path)
+        broken = WordPath(24, (0, 1 << 23, 1 << 23 | 1 << 21, 1 << 21))
+        assert is_two_stack_realizable(broken) == (False, PopNotTop(2, 23, 21)) == stepped(broken)
+
+    def test_a_start_other_than_zero_wins_over_a_bad_step(self):
+        with pytest.raises(ValueError, match="starts from the all-zero word"):
+            is_two_stack_realizable(WordPath(3, (1, 6)))
+
+    def test_a_bad_step_wins_over_an_earlier_pop_not_on_top(self):
+        # step 2 pops 0 from under 2; step 3 flips two bits
+        path = WordPath(3, (0b000, 0b001, 0b101, 0b100, 0b111))
+        with pytest.raises(NotAGrayStepError) as e:
+            is_two_stack_realizable(path)
+        assert e.value.index == 3
+        assert str(e.value) == "words at steps 3 and 4 differ in 2 bits (0x4 vs 0x7)"
+
+    def test_empty_path(self):
+        with pytest.raises(MalformedSequenceError, match="empty word path"):
+            is_two_stack_realizable(WordPath(3, ()))
+
+
+class TestOnlyAFailureIsStepped:
+    def test_a_realizable_path_is_never_stepped(self, monkeypatch):
+        def no_stepping(path):
+            raise RuntimeError("stepped")
+
+        monkeypatch.setattr(stacks, "_stack_steps", no_stepping)
+        assert is_two_stack_realizable(brgc(12)) == (True, None)
+        with pytest.raises(RuntimeError, match="stepped"):
+            is_two_stack_realizable(TestNotRealizable.SWAPPED)
