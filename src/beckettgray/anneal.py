@@ -3,7 +3,8 @@
 Simulated annealing grows long Beckett-consistent partial sequences
 (energy is minus the length; a move cuts a random suffix and regrows
 randomly until stuck).  Promising prefixes seed a deterministic
-backtracking completion.
+backtracking completion, which starts from the annealer's own state cut
+back to the prefix, with no replay of it.
 """
 
 from __future__ import annotations
@@ -83,8 +84,15 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
     suffix and regrow greedily, so no penalty terms are needed.
     Deterministic given ``config.rng_seed``.
     """
+    return _anneal(config).sequence()
+
+
+def _anneal(config: AnnealConfig) -> SearchState:
+    """The annealing of ``anneal_partial``, in a fresh state left at the
+    partial it returns."""
     n = config.n
     rng = random.Random(config.rng_seed)
+    getrandbits = rng.getrandbits
     target = config.complete_length
     stop_len = config.target_length or target
 
@@ -98,19 +106,22 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
             cur_len = len(current.seq)
             if cur_len >= target:
                 break
-            cut = rng.randint(1, min(MAX_BACKTRACK_CUT, max(cur_len, 1)))
-            keep = max(0, cur_len - cut)
+            # the cut is rng.randint(1, m), drawn inline as Random draws it
+            m = min(MAX_BACKTRACK_CUT, max(cur_len, 1))
+            bits = m.bit_length()
+            r = getrandbits(bits)
+            while r >= m:
+                r = getrandbits(bits)
+            keep = max(0, cur_len - 1 - r)
             suffix = current.seq[keep:]
-            while len(current.seq) > keep:
-                current.pop()
+            current.truncate(keep)
             current.descend(rng, target, restricted_growth=False)
             new_len = len(current.seq)
             if new_len < cur_len and rng.random() >= math.exp(
                 (new_len - cur_len) / temperature
             ):
                 # rejected: restore the suffix that was cut
-                while len(current.seq) > keep:
-                    current.pop()
+                current.truncate(keep)
                 for p in suffix:
                     current.push(p)
             if len(current.seq) > len(best):
@@ -118,7 +129,10 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
                 if len(best) >= stop_len:
                     break
         temperature *= COOLING_FACTOR
-    return TransitionSequence(n, tuple(best))
+    if current.seq != best:
+        # the schedule ran out after accepting a move away from the best
+        current = SearchState.from_prefix(n, TransitionSequence(n, tuple(best)))
+    return current
 
 
 def complete_backtrack(
@@ -135,13 +149,17 @@ def complete_backtrack(
     """
     if mode not in ("cyclic", "open"):
         raise ValueError(f"bad mode {mode!r}")
-    n = prefix.n
-    target = (1 << n) - (0 if mode == "cyclic" else 1)
     try:
-        state = SearchState.from_prefix(n, prefix)
+        state = SearchState.from_prefix(prefix.n, prefix)
     except ValueError:
         # the prefix itself revisits a word or breaks the queue discipline
         return CompletionResult(found=None, proven_impossible=True)
+    return _complete(state, mode, budget)
+
+
+def _complete(state: SearchState, mode: str, budget: Optional[int]) -> CompletionResult:
+    """The walk of ``complete_backtrack``, from ``state`` as it stands."""
+    target = (1 << state.n) - (0 if mode == "cyclic" else 1)
     result = CompletionResult(found=None, proven_impossible=False)
     for depth in state.walk(target, restricted_growth=False, prune=mode):
         result.nodes += 1
@@ -157,6 +175,9 @@ def complete_backtrack(
 def hunt(config: AnnealConfig) -> HuntResult:
     """Anneal, truncate to the handoff length, complete by backtracking.
 
+    The completion starts from the annealer's own state, cut back to the
+    handoff length, with no replay of the prefix.
+
     Restarts use seeds derived from ``config.rng_seed``; the result
     records the seed of the winning attempt.
     """
@@ -170,13 +191,13 @@ def hunt(config: AnnealConfig) -> HuntResult:
             rng_seed=seed,
             target_length=config.target_length or config.handoff,
         )
-        partial = anneal_partial(attempt_config)
-        best_partial = max(best_partial, len(partial))
-        if len(partial) == config.complete_length:
-            found = partial  # the annealer itself finished
+        state = _anneal(attempt_config)
+        best_partial = max(best_partial, len(state.seq))
+        if len(state.seq) == config.complete_length:
+            found = state.sequence()  # the annealer itself finished
         else:
-            seed_prefix = TransitionSequence(config.n, partial.symbols[: config.handoff])
-            found = complete_backtrack(seed_prefix, config.mode, config.completion_budget).found
+            state.truncate(config.handoff)
+            found = _complete(state, config.mode, config.completion_budget).found
         if found is not None:
             return HuntResult(
                 found=found,

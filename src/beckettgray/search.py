@@ -203,6 +203,11 @@ class SearchState:
         self.used = self.used_log.pop()
         return p
 
+    def truncate(self, depth: int) -> None:
+        """Undo pushes until ``depth`` symbols remain."""
+        while len(self.seq) > depth:
+            self.pop()
+
     def walk(self, max_depth: int, restricted_growth: bool = True,
              prune: Optional[str] = None) -> Iterator[int]:
         """Depth-first walk of the subtree below the current node.
@@ -317,19 +322,27 @@ class SearchState:
         self, rng: random.Random, stop_at: int, restricted_growth: bool = True
     ) -> list[int]:
         """Push ``rng.choice(children())`` to a leaf or depth ``stop_at``; return
-        each step's number of children.  The push step is inlined, as in ``walk``."""
+        each step's number of children.  The push step is inlined, as in ``walk``,
+        and so is ``choice``'s draw: ``getrandbits`` of the count's bit length,
+        redrawn until below the count and made even for a lone child, so the
+        stream moves exactly as under ``choice``."""
         last = (1 << self.n) - 1
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, used = self.word, self.used
         scan = _scan(self.n, False, restricted_growth)
-        choice = rng.choice
+        getrandbits = rng.getrandbits
         factors: list[int] = []
         while len(seq) < stop_at:
             kids = _expand(scan[used], word, queue, visited, len(seq) == last)
             if not kids:
                 break
-            factors.append(len(kids))
-            p = choice(kids)
+            k = len(kids)
+            factors.append(k)
+            bits = k.bit_length()
+            r = getrandbits(bits)
+            while r >= k:
+                r = getrandbits(bits)
+            p = kids[r]
             if not word >> p & 1:
                 queue.append(p)
             word ^= 1 << p

@@ -326,11 +326,13 @@ class TestUndoKernel:
             prefix = parse_symbols(n, text)
             # a stop below the deepest node possible, and one past it
             for stop_at in (len(text) + 2, (1 << n) + 1):
-                expected = SearchState.from_prefix(n, prefix)
-                want = stepwise(expected, random.Random(seed), stop_at)
-                state = SearchState.from_prefix(n, prefix)
-                got = state.descend(random.Random(seed), stop_at, restricted_growth)
+                expected, want_rng = SearchState.from_prefix(n, prefix), random.Random(seed)
+                want = stepwise(expected, want_rng, stop_at)
+                state, got_rng = SearchState.from_prefix(n, prefix), random.Random(seed)
+                got = state.descend(got_rng, stop_at, restricted_growth)
                 assert (state.seq, got) == (expected.seq, want)
+                # a draw skipped for a lone child would show only here
+                assert got_rng.getstate() == want_rng.getstate()
                 assert _snapshot(state) == _snapshot(
                     SearchState.from_prefix(n, state.sequence())
                 )
