@@ -165,13 +165,14 @@ def _cmd_enumerate(args) -> int:
         time_limit=args.time_limit,
         emit="count-only" if args.count_only else "canonical-codes",
     )
-    sharded = args.jobs > 1 or args.depth
+    sharded = args.jobs > 1 or args.depth is not None
     if sharded:
         start = time.perf_counter()
         # one time budget for the whole run, split included, not one per shard
         deadline = None if args.time_limit is None else time.time() + args.time_limit
+        depth = 4 if args.depth is None else args.depth
         try:
-            shards, shallow, cut = split_tree(args.n, args.depth or 4, prefix, args.time_limit)
+            shards, shallow, cut = split_tree(args.n, depth, prefix, args.time_limit)
         except ValueError as e:  # a split depth out of range
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE

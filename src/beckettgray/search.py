@@ -28,30 +28,51 @@ Sink = Callable[[str, "TransitionSequence"], None]
 
 
 @functools.cache
-def _scan(n: int, descending: bool,
-          restricted_growth: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per count of symbols used so far, the symbols that may come next,
-    with their bits: under restricted growth, only up to the first unused."""
-    order = range(n - 1, -1, -1) if descending else range(n)
-    return tuple(tuple((p, 1 << p) for p in order if p <= used or not restricted_growth)
+def _scan(n: int, restricted_growth: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per count of symbols used so far, the symbols that may come next in
+    ascending order, with their bits: under restricted growth, only up to
+    the first unused."""
+    return tuple(tuple((p, 1 << p) for p in range(n) if p <= used or not restricted_growth)
                  for used in range(n + 1))
 
 
-def _expand(row: tuple[tuple[int, int], ...], word: int, queue: list[int],
-            visited: bytearray, closing: bool) -> list[int]:
-    """The symbols of ``row`` legal after ``word``, in the row's order: each
-    reaches an unvisited word by setting a bit or by clearing the queue
-    front, the oldest set bit; when ``closing`` (every word visited), only
-    the front may be cleared, back to 0.  ``push`` applies the same rule
-    to one symbol."""
-    front = queue[len(queue) - word.bit_count()] if word else -1
-    if closing:
-        return [front] if word == 1 << front else []
-    kids = []
-    for p, b in row:
-        if (p == front or not word & b) and not visited[word ^ b]:
-            kids.append(p)
-    return kids
+_MAX_ROWS = 1 << 13  # rows one move table holds; every row reachable at n <= 6 fits
+_held: dict[tuple[int, bool], int] = {}  # rows each move table holds
+
+
+@functools.cache
+def _moves(n: int,
+           restricted_growth: bool) -> list[list[dict[int, tuple[tuple[int, int], ...]]]]:
+    """The move table: ``[used][front][word]`` is the row ``_move_row``
+    builds for that node, filled the first time it is asked for.  Word 0
+    has no front and uses front -1, the last index.  Without restricted
+    growth every ``used`` shares one set of rows."""
+    if restricted_growth:
+        return [[{} for _ in range(n + 1)] for _ in range(n + 1)]
+    return [[{} for _ in range(n + 1)]] * (n + 1)
+
+
+def _move_row(n: int, restricted_growth: bool, used: int, front: int,
+              word: int) -> tuple[tuple[int, int], ...]:
+    """Build, store and return ``_moves(n, restricted_growth)[used][front][word]``:
+    the ``(symbol, bit)`` pairs of ``_scan``'s row that may follow ``word``,
+    in its order.  A symbol may set an unset bit or clear the queue front,
+    the oldest set bit; the callers drop those reaching a visited word.
+    ``push`` applies the same rule to one symbol.  The row holds
+    ``_scan``'s own pairs, so it costs one tuple.  A table that holds
+    ``_MAX_ROWS`` rows is emptied first, which bounds it at any n."""
+    key = n, restricted_growth
+    table = _moves(*key)
+    held = _held.get(key, 0)
+    if held >= _MAX_ROWS:
+        for rows in table:
+            for row in rows:
+                row.clear()
+        held = 0
+    _held[key] = held + 1
+    row = tuple(m for m in _scan(*key)[used] if m[0] == front or not word & m[1])
+    table[used][front][word] = row
+    return row
 
 
 def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> tuple[bytearray, int]:
@@ -167,7 +188,7 @@ class SearchState:
     def children(self, restricted_growth: bool = True) -> list[int]:
         """Legal next symbols in ascending order: those ``push`` accepts."""
         out = []
-        for p, _ in _scan(self.n, False, restricted_growth)[self.used]:
+        for p, _ in _scan(self.n, restricted_growth)[self.used]:
             if self.push(p):
                 self.pop()
                 out.append(p)
@@ -216,8 +237,11 @@ class SearchState:
         node first, with the state set to that node.  Nodes at
         ``max_depth`` are not expanded.  A walk that runs to its end
         leaves the state at its starting node; one that is closed early
-        leaves it at the last node yielded.  ``_expand`` gives the children;
-        push and pop are inlined, with the state's ints held in locals.
+        leaves it at the last node yielded.  A node's moves are its row in
+        the move table of ``_moves``, and those reaching an unvisited word
+        are its children, tested one at a time each time the walk comes
+        back to the node; push and pop are inlined, with the state's ints
+        held in locals.
 
         ``prune`` ("cyclic" or "open") stops at every node, the start
         included, below which no code of that kind can be completed, by
@@ -232,8 +256,8 @@ class SearchState:
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, used = self.word, self.used
         root = depth = len(seq)
-        scan = _scan(n, True, restricted_growth)
-        pending: list[list[int]] = []  # per open level: untried symbols, descending
+        moves = _moves(n, restricted_growth)
+        pending: list[Iterator[tuple[int, int]]] = []  # per open level: its untried moves
         stop = max_depth  # nodes this deep are not expanded; a dead node's own depth
         avail = None
         if prune is not None:
@@ -250,14 +274,23 @@ class SearchState:
             while True:
                 self.word, self.used = word, used
                 yield depth
-                # descending, so that pop() returns ascending
-                kids = _expand(scan[used], word, queue, visited,
-                               depth == last) if depth < stop else None
-                if kids:
-                    pending.append(kids)
-                else:
-                    # climb to the nearest node with an untried symbol
-                    while True:
+                row = ()
+                if depth < stop:
+                    front = queue[len(queue) - word.bit_count()] if word else -1
+                    if depth != last:
+                        try:
+                            row = moves[used][front][word]
+                        except KeyError:
+                            row = _move_row(n, restricted_growth, used, front, word)
+                    elif word == 1 << front:  # every word is visited: close at 0
+                        row = ((front, word),)
+                        visited[0] = 0  # so that the test below passes; the push sets it again
+                kids = iter(row)
+                while True:
+                    for p, b in kids:
+                        if not visited[word ^ b]:
+                            break
+                    else:  # no child left: climb to the nearest node with one
                         if depth == root:
                             return
                         p = seq.pop()
@@ -284,14 +317,13 @@ class SearchState:
                         word ^= 1 << p
                         used = used_log.pop()
                         depth -= 1
-                        kids = pending[-1]
-                        if kids:
-                            break
-                        pending.pop()
-                p = kids.pop()
-                if not word >> p & 1:
+                        kids = pending.pop()
+                        continue
+                    break
+                pending.append(kids)
+                word ^= b
+                if word & b:  # an enqueue
                     queue.append(p)
-                word ^= 1 << p
                 visited[word] = 1
                 used_log.append(used)
                 if p >= used:
@@ -322,18 +354,31 @@ class SearchState:
         self, rng: random.Random, stop_at: int, restricted_growth: bool = True
     ) -> list[int]:
         """Push ``rng.choice(children())`` to a leaf or depth ``stop_at``; return
-        each step's number of children.  The push step is inlined, as in ``walk``,
+        each step's number of children.  The children are looked up in the move
+        table of ``_moves`` and the push step is inlined, as in ``walk``,
         and so is ``choice``'s draw: ``getrandbits`` of the count's bit length,
         redrawn until below the count and made even for a lone child, so the
         stream moves exactly as under ``choice``."""
-        last = (1 << self.n) - 1
+        n = self.n
+        last = (1 << n) - 1
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, used = self.word, self.used
-        scan = _scan(self.n, False, restricted_growth)
+        moves = _moves(n, restricted_growth)
         getrandbits = rng.getrandbits
         factors: list[int] = []
         while len(seq) < stop_at:
-            kids = _expand(scan[used], word, queue, visited, len(seq) == last)
+            front = queue[len(queue) - word.bit_count()] if word else -1
+            if len(seq) != last:
+                try:
+                    row = moves[used][front][word]
+                except KeyError:
+                    row = _move_row(n, restricted_growth, used, front, word)
+                kids = []
+                for m in row:
+                    if not visited[word ^ m[1]]:
+                        kids.append(m)
+            else:  # every word is visited: only the front may be cleared, back to 0
+                kids = [(front, word)] if word == 1 << front else []
             if not kids:
                 break
             k = len(kids)
@@ -342,10 +387,10 @@ class SearchState:
             r = getrandbits(bits)
             while r >= k:
                 r = getrandbits(bits)
-            p = kids[r]
-            if not word >> p & 1:
+            p, b = kids[r]
+            word ^= b
+            if word & b:  # an enqueue
                 queue.append(p)
-            word ^= 1 << p
             visited[word] = 1
             used_log.append(used)
             if p >= used:

@@ -127,6 +127,22 @@ class TestEnumerate:
             last = r.stdout.splitlines()[-1].split()
             assert "count_cyclic=6" in last and "nodes_visited=234966" in last
 
+    def test_depth_zero_is_one_root_shard(self, tmp_path):
+        # an explicit depth 0 used to count as unset: with two jobs it split
+        # at depth 4, and with one it ran unsharded and recorded no shard
+        def report(stdout):
+            return re.sub(r" elapsed=\S+", "", stdout.splitlines()[-1])
+
+        whole = run_cli("enumerate", "-n", "3", "--count-only")
+        args = ("enumerate", "-n", "3", "--depth", "0", "--jobs", "2", "--count-only",
+                "--out", str(tmp_path / "run.txt"))
+        first, again = run_cli(*args), run_cli(*args)
+        assert (first.returncode, again.returncode) == (0, 0)
+        shards = [line for line in first.stdout.splitlines() if line.startswith("shard=")]
+        assert len(shards) == 1 and shards[0].startswith("shard= ")
+        assert "shard=" not in again.stdout  # the resume finds the root shard recorded
+        assert report(first.stdout) == report(again.stdout) == report(whole.stdout)
+
     def test_resumed_report_includes_the_time_of_recorded_shards(self, tmp_path):
         out = tmp_path / "run.txt"
         args = ("enumerate", "-n", "4", "--depth", "3", "--count-only", "--out", str(out))
@@ -202,7 +218,7 @@ class TestShardedAgreesWithUnsharded:
     def test_every_depth(self, capsys, n):
         whole = enumerate_report(capsys, "-n", str(n))
         assert whole[0] == 0
-        # depth 0 is the unsharded run itself
+        # depth 0 gives the root as the one shard
         for depth in range(2**n + 1) if n < 5 else (1, 4, 10, 31, 32):
             assert enumerate_report(capsys, "-n", str(n), "--depth", str(depth)) == whole, depth
 

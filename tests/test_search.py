@@ -1,12 +1,18 @@
 import gc
+import hashlib
 import importlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import beckettgray
+from beckettgray import cli, search
 from beckettgray.anneal import complete_backtrack
 from beckettgray.beckett import BeckettKind, classify_beckett, queue_trace
 from beckettgray.canonical import canonicalize
@@ -292,23 +298,28 @@ class TestUndoKernel:
         assert _snapshot(state) == _snapshot(SearchState.from_prefix(3, state.sequence()))
         assert len(state.seq) == 5
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("restricted_growth", [True, False])
     def test_walk_order_is_children_order(self, n, restricted_growth):
-        # the walk's scan must agree with children(), that is push(), node for node
-        def recursive(state, out):
-            out.append(tuple(state.seq))
-            for p in state.children(restricted_growth):
-                state.push(p)
-                recursive(state, out)
-                state.pop()
+        # the walk's move rows, keyed by (used, front, word), must agree with
+        # children(), that is push(), node for node: over the whole tree up to
+        # n = 5, and for the first 20,000 nodes below the root and below
+        # seeded prefixes beyond it (the unrestricted 5-bit tree is too big)
+        starts, limit = [()], None
+        if n > 5 or (n == 5 and not restricted_growth):
+            starts += [_seeded_prefix(n, seed) for seed in range(3)]
+            limit = 20_000
+        for start in starts:
+            walked = SearchState.from_prefix(n, TransitionSequence(n, start))
+            stepped = SearchState.from_prefix(n, TransitionSequence(n, start))
+            walk = (tuple(walked.seq) for _ in walked.walk(1 << n, restricted_growth))
+            pairs = itertools.zip_longest(
+                itertools.islice(walk, limit),
+                itertools.islice(_children_order(stepped, restricted_growth), limit))
+            for node, (got, want) in enumerate(pairs):
+                assert got == want, (start, node)
 
-        expected = []
-        recursive(SearchState(n), expected)
-        state = SearchState(n)
-        assert [tuple(state.seq) for _ in state.walk(1 << n, restricted_growth)] == expected
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("restricted_growth", [True, False])
     def test_descend_is_a_children_choice_push_loop(self, n, restricted_growth):
         # the inlined step must draw and push as this loop does, step for step
@@ -336,6 +347,28 @@ class TestUndoKernel:
                 assert _snapshot(state) == _snapshot(
                     SearchState.from_prefix(n, state.sequence())
                 )
+
+
+def _children_order(state, restricted_growth):
+    """Each node below ``state`` in turn, by a depth-first loop over children()."""
+    untried = []  # per open level, its children not yet entered, last first
+    while True:
+        yield tuple(state.seq)
+        untried.append(state.children(restricted_growth)[::-1])
+        while not untried[-1]:
+            untried.pop()
+            if not untried:
+                return
+            state.pop()
+        assert state.push(untried[-1].pop())
+
+
+def _seeded_prefix(n, seed):
+    """The symbols of a random descent by children() to depth 2n or a leaf."""
+    state, rng = SearchState(n), random.Random(seed)
+    while len(state.seq) < 2 * n and state.children():
+        state.push(rng.choice(state.children()))
+    return tuple(state.seq)
 
 
 def _walked(state, restricted_growth, prune):
@@ -411,6 +444,72 @@ class TestIterativeSearch:
         assert report.count_cyclic >= 1
         assert completion == expected_completion
         assert completion.found is not None
+
+
+def _rows_held(n, restricted_growth):
+    """Rows in the move table; without restricted growth its levels share one set."""
+    rows = {id(r): r for level in search._moves(n, restricted_growth) for r in level}
+    return sum(map(len, rows.values()))
+
+
+@pytest.fixture
+def empty_move_tables():
+    search._moves.cache_clear()
+    search._held.clear()
+    yield
+    search._moves.cache_clear()
+    search._held.clear()
+
+
+def _kernel_run(n):
+    """Digests of every walk, pruned or not, in both growth modes, and a run of
+    descents with the draws they leave: all that the move table may change."""
+    walks, descents = [], []
+    for restricted_growth, prune in itertools.product((True, False), (None, "cyclic", "open")):
+        # the unrestricted 5-bit tree from the root is too big to walk here
+        start = {True: "0102", False: "01020"}[restricted_growth] if n == 5 else ""
+        state = SearchState.from_prefix(n, parse_symbols(n, start))
+        digest = hashlib.sha256()
+        for _ in state.walk(1 << n, restricted_growth, prune):
+            digest.update(bytes(state.seq) + b".")
+        walks.append(digest.hexdigest())
+    for restricted_growth in (True, False):
+        rng = random.Random(n)
+        for _ in range(50):
+            state = SearchState(n)
+            descents.append((state.descend(rng, (1 << n) + 1, restricted_growth), state.seq))
+        descents.append(rng.getstate())
+    return walks, descents
+
+
+class TestMoveTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_evicted_rows_change_nothing(self, n, monkeypatch, empty_move_tables):
+        uncapped = _kernel_run(n)
+        search._moves.cache_clear()
+        search._held.clear()
+        monkeypatch.setattr(search, "_MAX_ROWS", 2)  # nearly every lookup builds its row
+        assert _kernel_run(n) == uncapped
+        assert _rows_held(n, True) <= 2 and _rows_held(n, False) <= 2
+
+    def test_a_long_run_holds_at_most_the_cap(self, monkeypatch, capsys, empty_move_tables):
+        # this run meets 6,448 rows, fewer than the cap; a cap below that
+        # shows that it bounds the whole table, not each of its row dicts
+        monkeypatch.setattr(search, "_MAX_ROWS", 1 << 11)
+        args = ["enumerate", "-n", "12", "--count-only", "--node-limit", "1000000"]
+        assert cli.main(args) == cli.EXIT_TRUNCATED
+        assert 0 < _rows_held(12, True) <= 1 << 11
+
+    def test_import_builds_no_table(self):
+        # rows are built on first use, so importing the package takes no longer
+        code = ("import beckettgray\n"
+                "from beckettgray import search\n"
+                "print(search._moves.cache_info().currsize, len(search._held))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(beckettgray.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.split() == ["0", "0"]
 
 
 def test_reimported_package_is_freed():
