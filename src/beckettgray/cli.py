@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 from . import anneal as anneal_mod
 from . import estimate as estimate_mod
 from .beckett import BeckettKind, BeckettViolationError, classify_beckett, queue_trace
-from .canonical import are_isomorphic_beckett, canonicalize
+from .canonical import IncompleteAlphabetError, are_isomorphic_beckett, canonicalize
 from .core import (
     MAX_BITS,
     MalformedSequenceError,
@@ -139,13 +140,15 @@ def _read_checkpoint(path: str, n: int, mode: str) -> dict[str, EnumerationRepor
         for line in fp:
             if line.startswith("n="):
                 header = line.split()
-            elif line.startswith("shard=") and header == [f"n={n}", f"mode={mode}"]:
+            # truncated is written last, so a line cut short by a killed run
+            # records no shard, and that shard runs again
+            elif (line.startswith("shard=") and header == [f"n={n}", f"mode={mode}"]
+                  and line.split()[-1] == "truncated=False"):
                 f = dict(field.split("=", 1) for field in line.split())
                 f.setdefault("elapsed", "0.0")  # lines written before it was recorded
-                if f["truncated"] == "False":
-                    counts = {v: (float if k == "elapsed" else int)(f[k])
-                              for k, v in _SHARD_FIELDS.items()}
-                    done[f["shard"]] = EnumerationReport(n=n, mode=mode, **counts)
+                counts = {v: (float if k == "elapsed" else int)(f[k])
+                          for k, v in _SHARD_FIELDS.items()}
+                done[f["shard"]] = EnumerationReport(n=n, mode=mode, **counts)
     return done
 
 
@@ -176,7 +179,16 @@ def _cmd_enumerate(args) -> int:
         except ValueError as e:  # a split depth out of range
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
-    out = open(args.out, "a") if args.out else None
+    try:
+        out = open(args.out, "a") if args.out else None
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    if out and os.path.getsize(args.out):  # 0 for a pipe
+        with open(args.out, "rb") as fp:  # a run killed mid-line left no "\n"
+            fp.seek(-1, os.SEEK_END)
+            if fp.read() != b"\n":
+                out.write("\n")
     done = _read_checkpoint(args.out, args.n, mode) if sharded and args.out else {}
 
     def emit_line(text: str) -> None:
@@ -362,7 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except MalformedSequenceError as e:
+    except (MalformedSequenceError, IncompleteAlphabetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .canonical import canonicalize
-from .core import TransitionSequence, WordPath
+from .core import MAX_BITS, TransitionSequence, WordPath
 
 # a string reference: typing caches parametrized aliases, and one holding
 # the class itself would keep every re-imported copy of the package alive
@@ -28,50 +28,29 @@ Sink = Callable[[str, "TransitionSequence"], None]
 
 
 @functools.cache
-def _scan(n: int, restricted_growth: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per count of symbols used so far, the symbols that may come next in
-    ascending order, with their bits: under restricted growth, only up to
-    the first unused."""
-    return tuple(tuple((p, 1 << p) for p in range(n) if p <= used or not restricted_growth)
+def _limits(n: int, restricted_growth: bool) -> tuple[int, ...]:
+    """Per count of symbols used so far, the bits that the next symbol may
+    take: under restricted growth, only up to the first unused."""
+    return tuple(min(2 << used, 1 << n) - 1 if restricted_growth else (1 << n) - 1
                  for used in range(n + 1))
 
 
-_MAX_ROWS = 1 << 13  # rows one move table holds; every row reachable at n <= 6 fits
-_held: dict[tuple[int, bool], int] = {}  # rows each move table holds
+_PAIRS = tuple((p, 1 << p) for p in range(MAX_BITS))  # shared by every row
+_MAX_ROWS = 1 << 13  # rows the move table holds; every mask of up to 13 bits fits
+_rows: dict[int, tuple[tuple[int, int], ...]] = {}  # the move table: mask -> row
 
 
-@functools.cache
-def _moves(n: int,
-           restricted_growth: bool) -> list[list[dict[int, tuple[tuple[int, int], ...]]]]:
-    """The move table: ``[used][front][word]`` is the row ``_move_row``
-    builds for that node, filled the first time it is asked for.  Word 0
-    has no front and uses front -1, the last index.  Without restricted
-    growth every ``used`` shares one set of rows."""
-    if restricted_growth:
-        return [[{} for _ in range(n + 1)] for _ in range(n + 1)]
-    return [[{} for _ in range(n + 1)]] * (n + 1)
-
-
-def _move_row(n: int, restricted_growth: bool, used: int, front: int,
-              word: int) -> tuple[tuple[int, int], ...]:
-    """Build, store and return ``_moves(n, restricted_growth)[used][front][word]``:
-    the ``(symbol, bit)`` pairs of ``_scan``'s row that may follow ``word``,
-    in its order.  A symbol may set an unset bit or clear the queue front,
-    the oldest set bit; the callers drop those reaching a visited word.
-    ``push`` applies the same rule to one symbol.  The row holds
-    ``_scan``'s own pairs, so it costs one tuple.  A table that holds
-    ``_MAX_ROWS`` rows is emptied first, which bounds it at any n."""
-    key = n, restricted_growth
-    table = _moves(*key)
-    held = _held.get(key, 0)
-    if held >= _MAX_ROWS:
-        for rows in table:
-            for row in rows:
-                row.clear()
-        held = 0
-    _held[key] = held + 1
-    row = tuple(m for m in _scan(*key)[used] if m[0] == front or not word & m[1])
-    table[used][front][word] = row
+def _row(mask: int) -> tuple[tuple[int, int], ...]:
+    """Build, store and return ``_rows[mask]``, the ``(symbol, bit)`` pairs
+    of the set bits of ``mask`` in ascending order.  A node's moves, before
+    the visited test, are the bits of ``limit ^ word ^ front`` (its
+    ``_limits`` entry, its word and its queue front's bit): the unset bits
+    it may set and the front it may clear, as ``push`` checks one symbol at
+    a time.  A row depends on the mask alone, so one table serves every n
+    and both growth modes; it is emptied when it holds ``_MAX_ROWS`` rows."""
+    if len(_rows) >= _MAX_ROWS:
+        _rows.clear()
+    row = _rows[mask] = tuple(m for m in _PAIRS if mask & m[1])
     return row
 
 
@@ -153,12 +132,13 @@ class EnumerationReport:
 class SearchState:
     """Undo-able DFS state; replayable from any Beckett-consistent prefix.
 
-    ``queue`` is append-only, every symbol enqueued so far: the queue
-    holds exactly the set bits of ``word`` in the order they were set, so
-    the live queue is its last popcount(word) symbols.  Each step visits
-    a new word except the one that closes a cycle, so ``len(seq) + 1``
-    words are visited, all of them from depth ``2**n - 1`` on.  Every
-    push logs the previous ``used``, so ``pop`` restores the state exactly.
+    ``queue`` is append-only: a leading 0, then the bit of every symbol
+    enqueued so far.  It holds exactly the set bits of ``word`` in the
+    order they were set, so ``queue[-word.bit_count()]`` is the front's
+    bit, or the leading 0 for word 0.  Each step visits a new word except
+    the one that closes a cycle, so ``len(seq) + 1`` words are visited,
+    all of them from depth ``2**n - 1`` on.  Every push logs the previous
+    ``used``, so ``pop`` restores the state exactly.
     """
 
     __slots__ = ("n", "word", "visited", "queue", "used", "seq", "used_log")
@@ -168,7 +148,7 @@ class SearchState:
         self.word = 0
         self.visited = bytearray(1 << n)  # one flag per word
         self.visited[0] = 1
-        self.queue: list[int] = []
+        self.queue: list[int] = [0]
         self.used = 0  # distinct symbols used so far (restricted growth frontier)
         self.seq: list[int] = []
         self.used_log: list[int] = []
@@ -188,7 +168,7 @@ class SearchState:
     def children(self, restricted_growth: bool = True) -> list[int]:
         """Legal next symbols in ascending order: those ``push`` accepts."""
         out = []
-        for p, _ in _scan(self.n, restricted_growth)[self.used]:
+        for p in range(min(self.used + 1, self.n)) if restricted_growth else range(self.n):
             if self.push(p):
                 self.pop()
                 out.append(p)
@@ -197,13 +177,14 @@ class SearchState:
     def push(self, p: int) -> bool:
         """Apply symbol ``p`` if legal (ignoring restricted growth); else False."""
         word, queue = self.word, self.queue
-        new = word ^ (1 << p)
-        if word >> p & 1 and queue[len(queue) - word.bit_count()] != p:
+        b = 1 << p
+        new = word ^ b
+        if word & b and queue[-word.bit_count()] != b:
             return False  # only the queue front may be cleared
         if self.visited[new] and (new or len(self.seq) != len(self.visited) - 1):
             return False  # a revisit, other than the 0 that closes a cycle
         if new > word:  # an enqueue
-            queue.append(p)
+            queue.append(b)
         self.visited[new] = 1
         self.word = new
         self.used_log.append(self.used)
@@ -237,11 +218,11 @@ class SearchState:
         node first, with the state set to that node.  Nodes at
         ``max_depth`` are not expanded.  A walk that runs to its end
         leaves the state at its starting node; one that is closed early
-        leaves it at the last node yielded.  A node's moves are its row in
-        the move table of ``_moves``, and those reaching an unvisited word
-        are its children, tested one at a time each time the walk comes
-        back to the node; push and pop are inlined, with the state's ints
-        held in locals.
+        leaves it at the last node yielded.  A node's moves are the row of
+        its mask in the move table (see ``_row``), and those reaching an
+        unvisited word are its children, tested one at a time each time the
+        walk comes back to the node; push and pop are inlined, with the
+        state's ints held in locals.
 
         ``prune`` ("cyclic" or "open") stops at every node, the start
         included, below which no code of that kind can be completed, by
@@ -256,7 +237,7 @@ class SearchState:
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, used = self.word, self.used
         root = depth = len(seq)
-        moves = _moves(n, restricted_growth)
+        limits, rows = _limits(n, restricted_growth), _rows
         pending: list[Iterator[tuple[int, int]]] = []  # per open level: its untried moves
         stop = max_depth  # nodes this deep are not expanded; a dead node's own depth
         avail = None
@@ -276,15 +257,13 @@ class SearchState:
                 yield depth
                 row = ()
                 if depth < stop:
-                    front = queue[len(queue) - word.bit_count()] if word else -1
-                    if depth != last:
-                        try:
-                            row = moves[used][front][word]
-                        except KeyError:
-                            row = _move_row(n, restricted_growth, used, front, word)
-                    elif word == 1 << front:  # every word is visited: close at 0
-                        row = ((front, word),)
-                        visited[0] = 0  # so that the test below passes; the push sets it again
+                    front = queue[-word.bit_count()]
+                    if depth == last and word == front:  # every word is visited:
+                        visited[0] = 0  # let the closing step pass; its push sets it again
+                    try:
+                        row = rows[limits[used] ^ word ^ front]
+                    except KeyError:
+                        row = _row(limits[used] ^ word ^ front)
                 kids = iter(row)
                 while True:
                     for p, b in kids:
@@ -323,7 +302,7 @@ class SearchState:
                 pending.append(kids)
                 word ^= b
                 if word & b:  # an enqueue
-                    queue.append(p)
+                    queue.append(b)
                 visited[word] = 1
                 used_log.append(used)
                 if p >= used:
@@ -355,7 +334,7 @@ class SearchState:
     ) -> list[int]:
         """Push ``rng.choice(children())`` to a leaf or depth ``stop_at``; return
         each step's number of children.  The children are looked up in the move
-        table of ``_moves`` and the push step is inlined, as in ``walk``,
+        table and the push step is inlined, as in ``walk``,
         and so is ``choice``'s draw: ``getrandbits`` of the count's bit length,
         redrawn until below the count and made even for a lone child, so the
         stream moves exactly as under ``choice``."""
@@ -363,22 +342,21 @@ class SearchState:
         last = (1 << n) - 1
         visited, queue, seq, used_log = self.visited, self.queue, self.seq, self.used_log
         word, used = self.word, self.used
-        moves = _moves(n, restricted_growth)
+        limits, rows = _limits(n, restricted_growth), _rows
         getrandbits = rng.getrandbits
         factors: list[int] = []
         while len(seq) < stop_at:
-            front = queue[len(queue) - word.bit_count()] if word else -1
-            if len(seq) != last:
-                try:
-                    row = moves[used][front][word]
-                except KeyError:
-                    row = _move_row(n, restricted_growth, used, front, word)
-                kids = []
-                for m in row:
-                    if not visited[word ^ m[1]]:
-                        kids.append(m)
-            else:  # every word is visited: only the front may be cleared, back to 0
-                kids = [(front, word)] if word == 1 << front else []
+            front = queue[-word.bit_count()]
+            if len(seq) == last and word == front:
+                visited[0] = 0  # every word is visited: close the cycle, as in walk
+            try:
+                row = rows[limits[used] ^ word ^ front]
+            except KeyError:
+                row = _row(limits[used] ^ word ^ front)
+            kids = []
+            for m in row:
+                if not visited[word ^ m[1]]:
+                    kids.append(m)
             if not kids:
                 break
             k = len(kids)
@@ -390,7 +368,7 @@ class SearchState:
             p, b = kids[r]
             word ^= b
             if word & b:  # an enqueue
-                queue.append(p)
+                queue.append(b)
             visited[word] = 1
             used_log.append(used)
             if p >= used:

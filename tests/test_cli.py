@@ -83,6 +83,11 @@ class TestEnumerate:
         assert [str(seq) for _, seq in read] == printed and len(printed) == 5
         assert all(header == {"n": "4", "mode": "both"} for header, _ in read)
 
+    def test_out_may_be_a_pipe(self):
+        # the check for a last line left unfinished must not seek in a pipe
+        r = run_cli("enumerate", "-n", "2", "--count-only", "--out", "/dev/stdout")
+        assert r.returncode == 0 and r.stdout.splitlines().count("n=2 mode=both") == 2
+
     def test_truncated_exit_code(self):
         r = run_cli("enumerate", "-n", "5", "--mode", "cyclic", "--node-limit", "100",
                     "--count-only")
@@ -229,6 +234,21 @@ class TestShardedAgreesWithUnsharded:
         assert (code, cut["truncated"]) == (3, "True")
         assert enumerate_report(capsys, *args) == whole
 
+    @pytest.mark.parametrize("cut", [" truncated=", "es="], ids=["no-truncated", "no-value"])
+    def test_resume_after_a_torn_checkpoint_line(self, capsys, tmp_path, cut):
+        # a run killed while it writes a shard line leaves the line cut
+        # short: here before its last field, or inside the field "nodes="
+        whole = enumerate_report(capsys, "-n", "4")
+        out = tmp_path / "run.txt"
+        args = ("-n", "4", "--depth", "3", "--out", str(out))
+        assert enumerate_report(capsys, *args) == whole
+        lines = out.read_text().splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines) if line.startswith("shard="))
+        out.write_text("".join(lines[:last]) + lines[last][:lines[last].index(cut)])
+        # the torn shard runs again, and the resume's header starts a new line
+        assert enumerate_report(capsys, *args) == whole
+        assert out.read_text().splitlines().count("n=4 mode=both") == 2
+
 
 class InlinePool:
     """A stand-in for ProcessPoolExecutor that runs the shards in this process."""
@@ -360,6 +380,10 @@ class TestOtherCommands:
                      id="time-limit-1"),
         pytest.param(["enumerate", "-n", "5", "--depth", "3", "--count-only", "--time-limit",
                       "-1"], id="time-limit-1-sharded"),
+        # a sequence that leaves a symbol out has no canonical form
+        pytest.param(["canonicalize", "-n", "3", "01"], id="canonicalize-incomplete"),
+        pytest.param(["enumerate", "-n", "3", "--count-only", "--out",
+                      os.path.join(os.devnull, "run.txt")], id="out-unwritable"),
     ])
     def test_usage_error(self, args):
         r = run_cli(*args)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import importlib
@@ -251,11 +252,11 @@ def _snapshot(state):
 
 def _assert_derived_state(state):
     # the state stores neither the visited count nor the live queue: each
-    # step but the closing one visits a new word, and the live queue must
-    # match the queue checker's independent replay
+    # step but the closing one visits a new word, and the live queue's bits
+    # must match the queue checker's independent replay of its symbols
     assert sum(state.visited) == min(len(state.seq) + 1, 1 << state.n)
     live = state.queue[len(state.queue) - state.word.bit_count():]
-    assert tuple(live) == queue_trace(state.sequence())[-1]
+    assert tuple(b.bit_length() - 1 for b in live) == queue_trace(state.sequence())[-1]
 
 
 class TestUndoKernel:
@@ -301,7 +302,7 @@ class TestUndoKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("restricted_growth", [True, False])
     def test_walk_order_is_children_order(self, n, restricted_growth):
-        # the walk's move rows, keyed by (used, front, word), must agree with
+        # the walk's move rows, keyed by the mask of a node's moves, must agree with
         # children(), that is push(), node for node: over the whole tree up to
         # n = 5, and for the first 20,000 nodes below the root and below
         # seeded prefixes beyond it (the unrestricted 5-bit tree is too big)
@@ -446,65 +447,76 @@ class TestIterativeSearch:
         assert completion.found is not None
 
 
-def _rows_held(n, restricted_growth):
-    """Rows in the move table; without restricted growth its levels share one set."""
-    rows = {id(r): r for level in search._moves(n, restricted_growth) for r in level}
-    return sum(map(len, rows.values()))
-
-
 @pytest.fixture
-def empty_move_tables():
-    search._moves.cache_clear()
-    search._held.clear()
+def empty_move_table():
+    search._rows.clear()
     yield
-    search._moves.cache_clear()
-    search._held.clear()
+    search._rows.clear()
 
 
-def _kernel_run(n):
-    """Digests of every walk, pruned or not, in both growth modes, and a run of
-    descents with the draws they leave: all that the move table may change."""
-    walks, descents = [], []
-    for restricted_growth, prune in itertools.product((True, False), (None, "cyclic", "open")):
+def _kernel_runs(n):
+    """Runs whose results the move table may not change: the digest of every
+    walk, pruned or not, in both growth modes, and a run of descents in each
+    mode with the draws it leaves."""
+    def walk(restricted_growth, prune):
         # the unrestricted 5-bit tree from the root is too big to walk here
         start = {True: "0102", False: "01020"}[restricted_growth] if n == 5 else ""
         state = SearchState.from_prefix(n, parse_symbols(n, start))
         digest = hashlib.sha256()
         for _ in state.walk(1 << n, restricted_growth, prune):
             digest.update(bytes(state.seq) + b".")
-        walks.append(digest.hexdigest())
-    for restricted_growth in (True, False):
-        rng = random.Random(n)
+        return digest.hexdigest()
+
+    def descents(restricted_growth):
+        rng, out = random.Random(n), []
         for _ in range(50):
             state = SearchState(n)
-            descents.append((state.descend(rng, (1 << n) + 1, restricted_growth), state.seq))
-        descents.append(rng.getstate())
-    return walks, descents
+            out.append((state.descend(rng, (1 << n) + 1, restricted_growth), state.seq))
+        return out, rng.getstate()
+
+    return ([functools.partial(walk, restricted_growth, prune) for restricted_growth, prune
+             in itertools.product((True, False), (None, "cyclic", "open"))]
+            + [functools.partial(descents, restricted_growth)
+               for restricted_growth in (True, False)])
+
+
+def _kernel_run(n):
+    return [run() for run in _kernel_runs(n)]
 
 
 class TestMoveTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_evicted_rows_change_nothing(self, n, monkeypatch, empty_move_tables):
+    def test_evicted_rows_change_nothing(self, n, monkeypatch, empty_move_table):
         uncapped = _kernel_run(n)
-        search._moves.cache_clear()
-        search._held.clear()
+        search._rows.clear()
         monkeypatch.setattr(search, "_MAX_ROWS", 2)  # nearly every lookup builds its row
         assert _kernel_run(n) == uncapped
-        assert _rows_held(n, True) <= 2 and _rows_held(n, False) <= 2
+        assert len(search._rows) <= 2
 
-    def test_a_long_run_holds_at_most_the_cap(self, monkeypatch, capsys, empty_move_tables):
-        # this run meets 6,448 rows, fewer than the cap; a cap below that
-        # shows that it bounds the whole table, not each of its row dicts
+    def test_one_table_serves_every_n_and_growth_mode(self, empty_move_table):
+        # each run on an emptied table, then all of them taken in turn
+        # across n on one table that none of them empties
+        runs = {(i, n): run for n in (3, 4, 5) for i, run in enumerate(_kernel_runs(n))}
+        alone = {}
+        for key, run in runs.items():
+            search._rows.clear()
+            alone[key] = run()
+        search._rows.clear()
+        assert {key: runs[key]() for key in sorted(runs)} == alone
+
+    def test_a_long_run_holds_at_most_the_cap(self, monkeypatch, capsys, empty_move_table):
+        # this run meets 3,367 masks; a cap below that shows that the
+        # table is emptied when it is full
         monkeypatch.setattr(search, "_MAX_ROWS", 1 << 11)
         args = ["enumerate", "-n", "12", "--count-only", "--node-limit", "1000000"]
         assert cli.main(args) == cli.EXIT_TRUNCATED
-        assert 0 < _rows_held(12, True) <= 1 << 11
+        assert 0 < len(search._rows) <= 1 << 11
 
     def test_import_builds_no_table(self):
         # rows are built on first use, so importing the package takes no longer
         code = ("import beckettgray\n"
                 "from beckettgray import search\n"
-                "print(search._moves.cache_info().currsize, len(search._held))")
+                "print(len(search._rows), search._limits.cache_info().currsize)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
             str(Path(beckettgray.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
