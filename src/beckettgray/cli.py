@@ -263,15 +263,21 @@ def _cmd_hunt(args) -> int:
     except ValueError as e:  # a handoff length out of range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        out = open(args.out, "a") if args.out else None
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     if args.seed is None:
         print(f"# seed={seed} (auto-chosen)")
     result = anneal_mod.hunt(config)
     if result.found is not None:
         print(f"n={args.n} mode={args.mode}")
         print(format_symbols(args.n, result.found.symbols))
-        if args.out:
-            with open(args.out, "a") as fp:
-                write_sequence_block(fp, args.n, args.mode, [result.found])
+        if out:
+            write_sequence_block(out, args.n, args.mode, [result.found])
+    if out:
+        out.close()
     print(
         f"# found={result.found is not None} "
         f"best_partial_length={result.best_partial_length} "

@@ -8,6 +8,10 @@ that a dequeue back to all-zero is kept when it closes a full cycle.
 Relabeling isomorphs are pruned on the fly by restricted growth (a fresh
 bit position may enter only as the smallest unused one); reversal
 isomorphs are rejected at completion time.
+
+The same walk enumerates plain Gray cycles under the Gray rule, which
+may clear any set bit; only under the queue rule is
+``queue[-popcount(word)]`` the front.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .canonical import canonicalize
-from .core import MAX_BITS, TransitionSequence, WordPath
+from .core import MAX_BITS, TransitionSequence, WordPath, apply_transitions
 
 # a string reference: typing caches parametrized aliases, and one holding
 # the class itself would keep every re-imported copy of the package alive
@@ -46,8 +50,9 @@ def _row(mask: int) -> tuple[tuple[int, int], ...]:
     the visited test, are the bits of ``limit ^ word ^ front`` (its
     ``_limits`` entry, its word and its queue front's bit): the unset bits
     it may set and the front it may clear, as ``push`` checks one symbol at
-    a time.  A row depends on the mask alone, so one table serves every n
-    and both growth modes; it is emptied when it holds ``_MAX_ROWS`` rows."""
+    a time; under ``walk``'s Gray rule, the ``_limits`` entry alone.  A row
+    depends on the mask alone, so one table serves every n and both growth
+    modes; it is emptied when it holds ``_MAX_ROWS`` rows."""
     if len(_rows) >= _MAX_ROWS:
         _rows.clear()
     row = _rows[mask] = tuple(m for m in _PAIRS if mask & m[1])
@@ -133,11 +138,12 @@ class SearchState:
     """Undo-able DFS state; replayable from any Beckett-consistent prefix.
 
     ``queue`` is append-only: a leading 0, then the bit of every symbol
-    enqueued so far.  It holds exactly the set bits of ``word`` in the
-    order they were set, so ``queue[-word.bit_count()]`` is the front's
-    bit, or the leading 0 for word 0.  Each step visits a new word except
-    the one that closes a cycle, so ``len(seq) + 1`` words are visited,
-    all of them from depth ``2**n - 1`` on.  Every push logs the previous
+    enqueued so far.  Under the queue rule it holds exactly the set bits
+    of ``word`` in the order they were set, so ``queue[-word.bit_count()]``
+    is the front's bit, or the leading 0 for word 0; under ``walk``'s Gray
+    rule it is only the undo log of the set steps.  Each step visits a new
+    word except the one that closes a cycle, so ``len(seq) + 1`` words are
+    visited, all of them from depth ``2**n - 1`` on.  Every push logs the previous
     ``used``, so ``pop`` restores the state exactly.
     """
 
@@ -211,7 +217,7 @@ class SearchState:
             self.pop()
 
     def walk(self, max_depth: int, restricted_growth: bool = True,
-             prune: Optional[str] = None) -> Iterator[int]:
+             prune: Optional[str] = None, gray: bool = False) -> Iterator[int]:
         """Depth-first walk of the subtree below the current node.
 
         Yields the depth of each node in lexicographic order, the current
@@ -231,6 +237,11 @@ class SearchState:
         when cyclic.  Such a node is yielded but not expanded, so no
         completion is lost and their order is kept.  The counts are built
         once and then updated in O(n) per step.
+
+        ``gray`` walks under the Gray rule: any set bit may be cleared, so
+        a node's mask is ``limit`` alone and the visited test filters the
+        moves.  Under either rule, a node at depth ``2**n - 1`` whose word
+        is a single bit clears word 0's visited flag for its closing step.
         """
         n = self.n
         last = (1 << n) - 1  # the depth at which every word is visited
@@ -238,6 +249,7 @@ class SearchState:
         word, used = self.word, self.used
         root = depth = len(seq)
         limits, rows = _limits(n, restricted_growth), _rows
+        rule = 0 if gray else -1  # masks out the word and front under the Gray rule
         pending: list[Iterator[tuple[int, int]]] = []  # per open level: its untried moves
         stop = max_depth  # nodes this deep are not expanded; a dead node's own depth
         avail = None
@@ -257,13 +269,12 @@ class SearchState:
                 yield depth
                 row = ()
                 if depth < stop:
-                    front = queue[-word.bit_count()]
-                    if depth == last and word == front:  # every word is visited:
+                    if depth == last and not word & (word - 1):  # every word is visited:
                         visited[0] = 0  # let the closing step pass; its push sets it again
                     try:
-                        row = rows[limits[used] ^ word ^ front]
+                        row = rows[limits[used] ^ (word ^ queue[-word.bit_count()]) & rule]
                     except KeyError:
-                        row = _row(limits[used] ^ word ^ front)
+                        row = _row(limits[used] ^ (word ^ queue[-word.bit_count()]) & rule)
                 kids = iter(row)
                 while True:
                     for p, b in kids:
@@ -347,7 +358,7 @@ class SearchState:
         factors: list[int] = []
         while len(seq) < stop_at:
             front = queue[-word.bit_count()]
-            if len(seq) == last and word == front:
+            if len(seq) == last and not word & (word - 1):
                 visited[0] = 0  # every word is visited: close the cycle, as in walk
             try:
                 row = rows[limits[used] ^ word ^ front]
@@ -488,27 +499,7 @@ def enumerate_gray_cycles_small(n: int) -> list[WordPath]:
     """
     if n > 4:
         raise ValueError("cycle enumeration limited to n <= 4")
-    total = 1 << n
-    cycles: list[WordPath] = []
-    path = [0]
-    visited = 1
-
-    def extend() -> None:
-        nonlocal visited
-        w = path[-1]
-        for p in range(n):
-            nxt = w ^ (1 << p)
-            if nxt == 0:
-                if len(path) == total:
-                    cycles.append(WordPath(n, tuple(path) + (0,)))
-                continue
-            if visited >> nxt & 1:
-                continue
-            visited |= 1 << nxt
-            path.append(nxt)
-            extend()
-            path.pop()
-            visited ^= 1 << nxt
-
-    extend()
-    return cycles
+    state = SearchState(n)
+    return [apply_transitions(0, state.sequence())
+            for depth in state.walk(1 << n, restricted_growth=False, gray=True)
+            if depth == 1 << n]

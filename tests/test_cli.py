@@ -384,8 +384,11 @@ class TestOtherCommands:
         pytest.param(["canonicalize", "-n", "3", "01"], id="canonicalize-incomplete"),
         pytest.param(["enumerate", "-n", "3", "--count-only", "--out",
                       os.path.join(os.devnull, "run.txt")], id="out-unwritable"),
+        # refused before the hunt, so no code line is printed
+        pytest.param(["hunt", "-n", "4", "--mode", "open", "--seed", "1", "--out",
+                      os.path.join(os.devnull, "found.txt")], id="hunt-out-unwritable"),
     ])
     def test_usage_error(self, args):
         r = run_cli(*args)
         assert r.returncode == 2 and r.stdout == ""
-        assert "Traceback" not in r.stderr
+        assert "error: " in r.stderr and "Traceback" not in r.stderr

@@ -20,6 +20,7 @@ from beckettgray.canonical import canonicalize
 from beckettgray.core import (
     GrayKind,
     TransitionSequence,
+    WordPath,
     classify_gray,
     parse_symbols,
     transitions_of,
@@ -212,13 +213,49 @@ class TestGrayCycleEnumeration:
         # 1344 undirected Hamilton cycles of the 4-cube, both orientations
         assert len(enumerate_gray_cycles_small(4)) == 2688
 
+    def test_one_bit_cycle(self):
+        assert [p.words for p in enumerate_gray_cycles_small(1)] == [(0, 1, 0)]
+
     def test_oracle_brute_force_three_bits(self):
-        count = 0
+        # the walk is lexicographic in symbols, so the cycles come in the
+        # order of their transition strings
+        cycles = []
         for perm in itertools.permutations(range(1, 8)):
             cycle = (0,) + perm + (0,)
             if all(bin(cycle[i] ^ cycle[i + 1]).count("1") == 1 for i in range(8)):
-                count += 1
-        assert count == len(enumerate_gray_cycles_small(3))
+                cycles.append(cycle)
+        cycles.sort(key=lambda c: str(transitions_of(WordPath(3, c))))
+        assert [p.words for p in enumerate_gray_cycles_small(3)] == cycles
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cycles_are_distinct_and_in_symbol_order(self, n):
+        # with the frozen counts, this pins the whole list and its order
+        symbols = [transitions_of(p).symbols for p in enumerate_gray_cycles_small(n)]
+        assert symbols == sorted(set(symbols))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gray_walk_leaves_its_state_as_it_found_it(self, n):
+        state = SearchState(n)
+        for _ in state.walk(1 << n, restricted_growth=False, gray=True):
+            assert _gray_snapshot(state) == _gray_state(n, state.seq)
+        assert _gray_snapshot(state) == _gray_state(n, ())
+        assert state.visited[0] == 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("steps_past", [0, 1])
+    def test_gray_walk_closed_at_or_past_a_last_word_of_several_bits(self, n, steps_past):
+        # every word is visited at depth 2**n - 1, and only a single-bit
+        # word may clear word 0's flag there, for the step that closes it
+        state = SearchState(n)
+        walk = state.walk(1 << n, restricted_growth=False, gray=True)
+        for depth in walk:
+            if depth == (1 << n) - 1 and state.word.bit_count() > 1:
+                break
+        for _ in range(steps_past):
+            next(walk)
+        walk.close()
+        assert state.visited[0] == 1
+        assert _gray_snapshot(state) == _gray_state(n, state.seq)
 
     def test_every_path_is_cyclic_gray(self):
         for p in enumerate_gray_cycles_small(3):
@@ -248,6 +285,29 @@ def _snapshot(state):
         state.word, bytes(state.visited), list(state.queue), state.used,
         list(state.seq),
     )
+
+
+def _gray_snapshot(state):
+    return _snapshot(state) + (list(state.used_log),)
+
+
+def _gray_state(n, symbols):
+    """The snapshot of a Gray-rule walk at the node ``symbols``: every word
+    on the path visited, the bit of each set step queued after the leading
+    0, and ``used`` logged before each step.  No word but a closing 0 is
+    visited twice."""
+    word, used, queue, used_log = 0, 0, [0], []
+    visited = bytearray(1 << n)
+    visited[0] = 1
+    for depth, p in enumerate(symbols, 1):
+        word ^= 1 << p
+        assert not visited[word] or word == 0 and depth == 1 << n, symbols
+        if word >> p & 1:
+            queue.append(1 << p)
+        visited[word] = 1
+        used_log.append(used)
+        used = max(used, p + 1)
+    return word, bytes(visited), queue, used, list(symbols), used_log
 
 
 def _assert_derived_state(state):

@@ -1,10 +1,13 @@
 """The public surface: the package's ``__all__`` and every CLI option.
 
 Simplifications must keep both as they are; a change here is an API or
-CLI change and should be made on purpose.
+CLI change and should be made on purpose.  Also: no function in the
+package calls itself.
 """
 
 import argparse
+import ast
+from pathlib import Path
 
 import beckettgray
 from beckettgray import cli
@@ -43,3 +46,28 @@ def test_cli_options():
               if isinstance(a, argparse._SubParsersAction))
     assert {name: [s for a in p._actions for s in a.option_strings]
             for name, p in sub.choices.items()} == CLI_OPTIONS
+
+
+def _self_calls(tree):
+    """The name of each function that calls itself by name, or as ``self.``
+    or ``cls.`` and its own name."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == fn.name
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == fn.name
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("self", "cls")
+                ):
+                    yield fn.name
+                    break
+
+
+def test_no_recursive_function():
+    # the searches are iterative walks: recursion to depth 2**n hit
+    # Python's recursion limit from n = 10 on
+    found = [f"{path.name}:{name}"
+             for path in sorted(Path(beckettgray.__file__).parent.glob("*.py"))
+             for name in _self_calls(ast.parse(path.read_text()))]
+    assert found == []
