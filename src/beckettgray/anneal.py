@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import TransitionSequence
@@ -35,17 +35,13 @@ class AnnealConfig:
     completion_budget: Optional[int] = 300_000  # nodes per completion attempt
     restarts: int = 30_000
     rng_seed: int = 0
-    # annealing stops early once a partial at least this long is seen;
-    # None runs the full cooling schedule
-    target_length: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("cyclic", "open"):
             raise ValueError(f"bad mode {self.mode!r}")
-        for name in ("seed_handoff_length", "target_length"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value <= self.complete_length:
-                raise ValueError(f"{name}={value} outside [0, {self.complete_length}]")
+        length = self.seed_handoff_length
+        if length is not None and not 0 <= length <= self.complete_length:
+            raise ValueError(f"seed_handoff_length={length} outside [0, {self.complete_length}]")
 
     @property
     def handoff(self) -> int:
@@ -84,17 +80,18 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
     suffix and regrow greedily, so no penalty terms are needed.
     Deterministic given ``config.rng_seed``.
     """
-    return _anneal(config).sequence()
+    return _anneal(config, config.rng_seed, config.complete_length).sequence()
 
 
-def _anneal(config: AnnealConfig) -> SearchState:
-    """The annealing of ``anneal_partial``, in a fresh state left at the
-    partial it returns."""
+def _anneal(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
+    """The annealing of ``anneal_partial`` from ``seed``, in a fresh state
+    left at the partial it returns.  The schedule stops early once a
+    partial of ``stop_len`` symbols is seen; ``stop_len`` is at most the
+    code length, so no move starts from a complete code."""
     n = config.n
-    rng = random.Random(config.rng_seed)
+    rng = random.Random(seed)
     getrandbits = rng.getrandbits
     target = config.complete_length
-    stop_len = config.target_length or target
 
     current = SearchState(n)
     current.descend(rng, target, restricted_growth=False)
@@ -104,8 +101,6 @@ def _anneal(config: AnnealConfig) -> SearchState:
     while temperature > TEMPERATURE_FLOOR and len(best) < stop_len:
         for _ in range(STEPS_PER_TEMPERATURE):
             cur_len = len(current.seq)
-            if cur_len >= target:
-                break
             # the cut is rng.randint(1, m), drawn inline as Random draws it
             m = min(MAX_BACKTRACK_CUT, max(cur_len, 1))
             bits = m.bit_length()
@@ -186,12 +181,8 @@ def hunt(config: AnnealConfig) -> HuntResult:
     base = config.rng_seed
     for attempt in range(config.restarts):
         seed = base * 1_000_003 + attempt
-        attempt_config = replace(
-            config,
-            rng_seed=seed,
-            target_length=config.target_length or config.handoff,
-        )
-        state = _anneal(attempt_config)
+        # a handoff of 0 anneals the full schedule
+        state = _anneal(config, seed, config.handoff or config.complete_length)
         best_partial = max(best_partial, len(state.seq))
         if len(state.seq) == config.complete_length:
             found = state.sequence()  # the annealer itself finished

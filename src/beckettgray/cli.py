@@ -272,8 +272,7 @@ def _cmd_hunt(args) -> int:
         print(f"# seed={seed} (auto-chosen)")
     result = anneal_mod.hunt(config)
     if result.found is not None:
-        print(f"n={args.n} mode={args.mode}")
-        print(format_symbols(args.n, result.found.symbols))
+        write_sequence_block(sys.stdout, args.n, args.mode, [result.found])
         if out:
             write_sequence_block(out, args.n, args.mode, [result.found])
     if out:

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -29,14 +28,13 @@ def unpruned_completion(prefix, mode):
 
 
 def replayed_hunt(config):
-    """``hunt`` as calls of the public functions: each attempt anneals,
-    then completes a ``TransitionSequence`` of its handoff prefix, which
+    """``hunt`` with a replayed completion: each attempt anneals, then
+    completes a ``TransitionSequence`` of its handoff prefix, which
     ``complete_backtrack`` replays into a fresh state."""
     best = 0
     for attempt in range(config.restarts):
         seed = config.rng_seed * 1_000_003 + attempt
-        partial = anneal_partial(replace(
-            config, rng_seed=seed, target_length=config.target_length or config.handoff))
+        partial = _anneal(config, seed, config.handoff or config.complete_length).sequence()
         best = max(best, len(partial))
         if len(partial) == config.complete_length:
             found = partial
@@ -55,7 +53,6 @@ def _fields(state):
 class TestAnnealConfig:
     @pytest.mark.parametrize("mode,field,value", [
         ("open", "seed_handoff_length", 16), ("open", "seed_handoff_length", -3),
-        ("cyclic", "target_length", 17), ("cyclic", "target_length", -1),
     ])
     def test_lengths_outside_the_code_are_rejected(self, mode, field, value):
         with pytest.raises(ValueError):
@@ -63,7 +60,14 @@ class TestAnnealConfig:
 
     @pytest.mark.parametrize("mode,length", [("open", 15), ("cyclic", 16), ("cyclic", 0)])
     def test_lengths_within_the_code_are_accepted(self, mode, length):
-        AnnealConfig(n=4, mode=mode, seed_handoff_length=length, target_length=length)
+        AnnealConfig(n=4, mode=mode, seed_handoff_length=length)
+
+    @pytest.mark.parametrize("n,length,handoff", [
+        (1, None, 1), (2, None, 3), (3, None, 5), (6, None, 40), (7, None, 80), (4, 0, 0),
+    ])
+    def test_handoff(self, n, length, handoff):
+        # 2**n - 1 below three bits, 5/8 of the words from there on
+        assert AnnealConfig(n=n, seed_handoff_length=length).handoff == handoff
 
 
 class TestAnnealPartial:
@@ -73,9 +77,7 @@ class TestAnnealPartial:
 
     def test_outputs_are_always_beckett_consistent(self):
         for seed in range(20):
-            partial = anneal_partial(
-                AnnealConfig(n=4, mode="open", rng_seed=seed, target_length=12)
-            )
+            partial = _anneal(AnnealConfig(n=4, mode="open"), seed, 12).sequence()
             kind = classify_beckett(partial).kind
             assert kind in (BeckettKind.OPEN, BeckettKind.CYCLIC, BeckettKind.INCOMPLETE)
 
@@ -91,14 +93,14 @@ class TestAnnealPartial:
         assert wins >= 24
 
     def test_deterministic(self):
-        cfg = AnnealConfig(n=5, mode="cyclic", rng_seed=99, target_length=24)
-        assert anneal_partial(cfg) == anneal_partial(cfg)
+        cfg = AnnealConfig(n=5, mode="cyclic")
+        assert _anneal(cfg, 99, 24).sequence() == _anneal(cfg, 99, 24).sequence()
 
     def test_state_is_left_at_the_returned_partial(self):
         # no 3-bit cyclic code exists, so the schedule runs to its floor;
         # with seed 1 it ends after accepting a move away from its best,
         # and the state must be rebuilt at that best (a recorded figure)
-        state = _anneal(AnnealConfig(n=3, mode="cyclic", rng_seed=1))
+        state = _anneal(AnnealConfig(n=3, mode="cyclic"), 1, 8)
         best = parse_symbols(3, "0102101")
         assert _fields(state) == _fields(SearchState.from_prefix(3, best))
 
@@ -130,10 +132,10 @@ class TestCompleteBacktrack:
     ])
     def test_prune_gives_the_unpruned_answer(self, n, mode, base):
         # the handoff prefix of every attempt of a hunt, up to its code
-        handoff = AnnealConfig(n=n, mode=mode).handoff
+        config = AnnealConfig(n=n, mode=mode)
+        handoff = config.handoff
         for attempt in itertools.count():
-            partial = anneal_partial(AnnealConfig(
-                n=n, mode=mode, rng_seed=base * 1_000_003 + attempt, target_length=handoff))
+            partial = _anneal(config, base * 1_000_003 + attempt, handoff).sequence()
             prefix = TransitionSequence(n, partial.symbols[:handoff])
             expected = unpruned_completion(prefix, mode)
             result = complete_backtrack(prefix, mode)
@@ -203,6 +205,23 @@ class TestHunt:
             result = hunt(config)
             assert (result.found, result.attempts, result.winning_seed,
                     result.best_partial_length) == replayed_hunt(config)
+
+    @pytest.mark.parametrize("n,mode,seed,handoff,expected", [
+        (4, "open", 1, 0, ("023102321320132", 1, 1_000_003, 15)),
+        (4, "open", 1, 15, ("023102321320132", 1, 1_000_003, 15)),
+        (4, "open", 1, 8, ("201320121320132", 3, 1_000_005, 15)),
+        (5, "cyclic", 3, 16, ("40213404212314240312403012301030", 35, 3_000_043, 32)),
+        (1, "cyclic", 1, None, ("00", 1, 1_000_003, 2)),
+        (1, "open", 1, None, ("0", 1, 1_000_003, 1)),
+        (2, "cyclic", 1, None, ("1010", 1, 1_000_003, 4)),
+        (2, "open", 1, None, ("101", 1, 1_000_003, 3)),
+    ])
+    def test_handoff_stream_is_pinned(self, n, mode, seed, handoff, expected):
+        # recorded figures for an explicit handoff (0 anneals the full
+        # schedule) and for the n < 3 default of 2**n - 1
+        result = hunt(AnnealConfig(n=n, mode=mode, rng_seed=seed, seed_handoff_length=handoff))
+        assert (str(result.found), result.attempts, result.winning_seed,
+                result.best_partial_length) == expected
 
     def test_deterministic(self):
         cfg = AnnealConfig(n=5, mode="cyclic", rng_seed=12, restarts=500)

@@ -1,16 +1,23 @@
-"""The public surface: the package's ``__all__`` and every CLI option.
+"""The public surface: the package's ``__all__``, every CLI option and
+the fields of the two config classes.
 
-Simplifications must keep both as they are; a change here is an API or
-CLI change and should be made on purpose.  Also: no function in the
-package calls itself.
+Simplifications must keep all three as they are; a change here is an API
+or CLI change and should be made on purpose.  Also: bad config input
+raises ``ValueError``, and no function in the package calls itself.
 """
 
 import argparse
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
 
 import beckettgray
 from beckettgray import cli
+from beckettgray.anneal import AnnealConfig, complete_backtrack
+from beckettgray.core import TransitionSequence
+from beckettgray.search import EnumerationReport, SearchConfig
 
 PUBLIC_NAMES = [
     "AnnealConfig", "BeckettClassification", "BeckettKind", "BeckettViolation",
@@ -36,6 +43,12 @@ CLI_OPTIONS = {
     "selfcheck": ["-h", "--help"],
 }
 
+CONFIG_FIELDS = {
+    SearchConfig: ["n", "mode", "prefix", "node_limit", "time_limit", "emit"],
+    AnnealConfig: ["n", "mode", "seed_handoff_length", "completion_budget", "restarts",
+                   "rng_seed"],
+}
+
 
 def test_public_names():
     assert sorted(beckettgray.__all__) == PUBLIC_NAMES
@@ -46,6 +59,25 @@ def test_cli_options():
               if isinstance(a, argparse._SubParsersAction))
     assert {name: [s for a in p._actions for s in a.option_strings]
             for name, p in sub.choices.items()} == CLI_OPTIONS
+
+
+def test_config_fields():
+    assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in CONFIG_FIELDS} == (
+        CONFIG_FIELDS)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AnnealConfig(n=4, mode="both"),
+    lambda: complete_backtrack(TransitionSequence(3, ()), "both"),
+    lambda: SearchConfig(3, mode="x"),
+    lambda: SearchConfig(3, emit="x"),
+    lambda: SearchConfig(3, prefix=TransitionSequence(4, ())),
+    lambda: EnumerationReport(3, "both").merge(EnumerationReport(4, "both")),
+], ids=["anneal-mode", "complete-mode", "search-mode", "search-emit", "search-prefix-n",
+        "merge-n"])
+def test_bad_input_is_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def _self_calls(tree):
