@@ -4,18 +4,22 @@ Simulated annealing grows long Beckett-consistent partial sequences
 (energy is minus the length; a move cuts a random suffix and regrows
 randomly until stuck).  Promising prefixes seed a deterministic
 backtracking completion, which starts from the annealer's own state cut
-back to the prefix, with no replay of it.
+back to the prefix, with no replay of it.  The annealing loop runs in a
+small C kernel, ``_anneal.c``, built on first use, or in Python where it
+cannot be built; both make the same draws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .core import TransitionSequence
+from .core import MAX_BITS, TransitionSequence
 from .search import SearchState
 
 INITIAL_TEMPERATURE = 2.0
@@ -37,8 +41,13 @@ class AnnealConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_BITS:
+            raise ValueError(f"n={self.n} outside [1, {MAX_BITS}]")
         if self.mode not in ("cyclic", "open"):
             raise ValueError(f"bad mode {self.mode!r}")
+        if not isinstance(self.rng_seed, int):
+            # random.Random would hash it; the compiled annealer takes ints only
+            raise ValueError(f"rng_seed={self.rng_seed!r} is not an int")
         length = self.seed_handoff_length
         if length is not None and not 0 <= length <= self.complete_length:
             raise ValueError(f"seed_handoff_length={length} outside [0, {self.complete_length}]")
@@ -87,7 +96,24 @@ def _anneal(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
     """The annealing of ``anneal_partial`` from ``seed``, in a fresh state
     left at the partial it returns.  The schedule stops early once a
     partial of ``stop_len`` symbols is seen; ``stop_len`` is at most the
-    code length, so no move starts from a complete code."""
+    code length, so no move starts from a complete code.
+
+    Runs in the compiled kernel (``_anneal.c``), which makes the same
+    draws and returns the same partial, or in ``_anneal_py`` when the
+    kernel cannot be built or loaded."""
+    kernel = _kernel()
+    if kernel is None:
+        return _anneal_py(config, seed, stop_len)
+    # pushed one by one: a TransitionSequence per attempt raised a bench
+    # hunt's peak memory by 0.4 MB, held in the interpreter's tuple free list
+    state = SearchState(config.n)
+    if not all(map(state.push, kernel(config.n, seed, config.complete_length, stop_len))):
+        raise RuntimeError("the annealing kernel returned an illegal partial")
+    return state
+
+
+def _anneal_py(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
+    """``_anneal`` in Python: the reference the kernel follows."""
     n = config.n
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
@@ -128,6 +154,80 @@ def _anneal(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
         # the schedule ran out after accepting a move away from the best
         current = SearchState.from_prefix(n, TransitionSequence(n, tuple(best)))
     return current
+
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_anneal.c")
+_CC = ("cc", "-O2", "-shared", "-fPIC")  # no -ffast-math: exp must be libm's, as math.exp is
+
+
+@functools.cache
+def _kernel() -> Optional[Callable[[int, int, int, int], list[int]]]:
+    """The compiled annealer as ``run(n, seed, length, stop_len)``, which
+    returns the best partial of ``_anneal_py`` for a code of ``length``
+    symbols; or None if the kernel cannot be built or loaded.  Tried once
+    per process; ctypes is imported only here."""
+    if os.name != "posix":
+        return None
+    try:
+        import ctypes
+
+        library = ctypes.CDLL(_build())
+    except (ImportError, OSError):
+        return None
+    fn = library.bg_anneal
+    c_int, c_double = ctypes.c_int, ctypes.c_double
+    fn.argtypes = (c_int, ctypes.POINTER(ctypes.c_uint32), ctypes.c_size_t, c_int, c_int,
+                   c_double, c_double, c_int, c_double, c_int, ctypes.POINTER(ctypes.c_uint8))
+    fn.restype = c_int
+
+    def run(n: int, seed: int, length: int, stop_len: int) -> list[int]:
+        # random.Random(seed) keys its generator by the 32-bit words of abs(seed)
+        seed = abs(seed)
+        key = [seed >> i & 0xFFFFFFFF for i in range(0, max(seed.bit_length(), 1), 32)]
+        best = (ctypes.c_uint8 * length)()
+        got = fn(n, (ctypes.c_uint32 * len(key))(*key), len(key), length, stop_len,
+                 INITIAL_TEMPERATURE, COOLING_FACTOR, STEPS_PER_TEMPERATURE,
+                 TEMPERATURE_FLOOR, MAX_BACKTRACK_CUT, best)
+        if got < 0:
+            raise MemoryError("the annealing kernel could not allocate its state")
+        return best[:got]
+
+    return run
+
+
+def _build() -> str:
+    """Path of the kernel library, compiled on first use into the user's
+    cache directory, named by a CRC of its source and compile command.
+    Raises OSError if it cannot be built."""
+    import tempfile
+    import zlib
+
+    with open(_KERNEL_SOURCE, "rb") as f:
+        crc = zlib.crc32(f.read() + " ".join(_CC).encode())
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                         "beckettgray")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    st = os.stat(cache)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        # another user could plant the library that gets loaded
+        raise PermissionError(f"{cache} is not private to this user")
+    path = os.path.join(cache, f"_anneal-{crc:08x}.so")
+    if not os.path.exists(path):
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            # posix_spawn, not subprocess, whose import alone would add 0.6 MB
+            # to the caller's peak memory; cc's messages go to /dev/null
+            quiet = [(os.POSIX_SPAWN_OPEN, out, os.devnull, os.O_WRONLY, 0) for out in (1, 2)]
+            pid = os.posix_spawnp(_CC[0], [*_CC, "-o", tmp, _KERNEL_SOURCE, "-lm"], os.environ,
+                                  file_actions=quiet)
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                raise OSError(f"{_CC[0]} could not build {_KERNEL_SOURCE}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return path
 
 
 def complete_backtrack(

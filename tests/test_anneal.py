@@ -1,7 +1,13 @@
 import itertools
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from beckettgray import anneal
 from beckettgray.anneal import (
     AnnealConfig,
     _anneal,
@@ -50,6 +56,22 @@ def _fields(state):
     return {name: getattr(state, name) for name in SearchState.__slots__}
 
 
+# the compiled annealer keys its generator by the 32-bit words of abs(seed)
+SEEDS = (*range(41), -1, -12_345, 2**32 + 7, 2**64 + 3, -(2**70) - 11)
+LONG_SEEDS = (0, 2**64 + 3)  # for the schedules that take about a second in Python
+
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler (cc) on PATH: only the Python annealer runs")
+
+
+@pytest.fixture
+def fresh_kernel():
+    """The kernel is tried once per process: forget it before and after."""
+    anneal._kernel.cache_clear()
+    yield
+    anneal._kernel.cache_clear()
+
+
 class TestAnnealConfig:
     @pytest.mark.parametrize("mode,field,value", [
         ("open", "seed_handoff_length", 16), ("open", "seed_handoff_length", -3),
@@ -68,6 +90,17 @@ class TestAnnealConfig:
     def test_handoff(self, n, length, handoff):
         # 2**n - 1 below three bits, 5/8 of the words from there on
         assert AnnealConfig(n=n, seed_handoff_length=length).handoff == handoff
+
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_n_outside_the_range_is_rejected(self, n):
+        with pytest.raises(ValueError):
+            AnnealConfig(n=n)
+
+    @pytest.mark.parametrize("seed", [1.0, "1", None])
+    def test_seed_must_be_an_int(self, seed):
+        # random.Random would hash it
+        with pytest.raises(ValueError):
+            AnnealConfig(n=4, rng_seed=seed)
 
 
 class TestAnnealPartial:
@@ -227,3 +260,79 @@ class TestHunt:
         cfg = AnnealConfig(n=5, mode="cyclic", rng_seed=12, restarts=500)
         a, b = hunt(cfg), hunt(cfg)
         assert (a.found, a.attempts, a.winning_seed) == (b.found, b.attempts, b.winning_seed)
+
+
+@needs_cc
+class TestCompiledAnnealer:
+    """The kernel against the Python annealer, and the pinned streams on it."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        assert anneal._kernel() is not None
+
+    @pytest.mark.parametrize("mode", ["cyclic", "open"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_python_annealer(self, n, mode):
+        config = AnnealConfig(n=n, mode=mode)
+        runs = [(config.handoff, seed) for seed in SEEDS]
+        runs += [(config.complete_length, seed) for seed in LONG_SEEDS]
+        if n <= 4:
+            # past the code length: the full schedule, with moves from complete codes
+            runs += [(config.complete_length + 1, seed) for seed in LONG_SEEDS]
+        for stop_len, seed in runs:
+            assert _fields(_anneal(config, seed, stop_len)) == _fields(
+                anneal._anneal_py(config, seed, stop_len)), (stop_len, seed)
+
+    test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
+    test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
+    test_handoff_stream_is_pinned = TestHunt.test_handoff_stream_is_pinned
+    test_state_is_left_at_the_returned_partial = (
+        TestAnnealPartial.test_state_is_left_at_the_returned_partial)
+
+
+class TestPythonAnnealer:
+    """The pinned streams on the Python annealer, the kernel's reference."""
+
+    @pytest.fixture(autouse=True)
+    def python(self, monkeypatch):
+        monkeypatch.setattr(anneal, "_kernel", lambda: None)
+
+    test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
+    test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
+    test_handoff_stream_is_pinned = TestHunt.test_handoff_stream_is_pinned
+    test_state_is_left_at_the_returned_partial = (
+        TestAnnealPartial.test_state_is_left_at_the_returned_partial)
+
+
+@pytest.mark.parametrize("broken", ["no-cc", "failing-cc", "unwritable-cache"])
+def test_hunt_falls_back_when_the_kernel_cannot_be_built(broken, fresh_kernel, monkeypatch,
+                                                          tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    if broken == "unwritable-cache":
+        (tmp_path / "cache").write_text("a file where the cache directory should be")
+    else:
+        monkeypatch.setenv("PATH", str(tmp_path))
+        if broken == "failing-cc":
+            (tmp_path / "cc").write_text("#!/bin/sh\nexit 1\n")
+            (tmp_path / "cc").chmod(0o755)
+    builds = []
+    build = anneal._build
+    monkeypatch.setattr(anneal, "_build", lambda: builds.append(1) or build())
+    for _ in range(2):
+        result = hunt(AnnealConfig(n=5, mode="cyclic", rng_seed=11))
+        assert (str(result.found), result.attempts) == ("41203414202304241302413102310131", 14)
+    assert anneal._kernel() is None
+    assert builds == [1]
+    if broken != "unwritable-cache":
+        assert not any((tmp_path / "cache" / "beckettgray").iterdir())  # no half-built library
+
+
+def test_import_loads_no_kernel_machinery():
+    # the kernel is built and loaded on first use; these imported with the
+    # package would cost every caller set-up time, and hashlib alone 3.6 MB
+    code = "import sys, beckettgray; print(*{'ctypes', 'subprocess', 'hashlib'} & sys.modules.keys())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(anneal.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == []
