@@ -48,6 +48,12 @@ class AnnealConfig:
         if not isinstance(self.rng_seed, int):
             # random.Random would hash it; the compiled annealer takes ints only
             raise ValueError(f"rng_seed={self.rng_seed!r} is not an int")
+        if self.restarts < 1:
+            raise ValueError(f"restarts={self.restarts} below 1")
+        budget = self.completion_budget
+        if budget is not None and budget < 1:
+            # a complete partial is the completion's first node: budget 0 would drop it
+            raise ValueError(f"completion_budget={budget} below 1")
         length = self.seed_handoff_length
         if length is not None and not 0 <= length <= self.complete_length:
             raise ValueError(f"seed_handoff_length={length} outside [0, {self.complete_length}]")
@@ -104,12 +110,13 @@ def _anneal(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
     kernel = _kernel()
     if kernel is None:
         return _anneal_py(config, seed, stop_len)
-    # pushed one by one: a TransitionSequence per attempt raised a bench
-    # hunt's peak memory by 0.4 MB, held in the interpreter's tuple free list
-    state = SearchState(config.n)
-    if not all(map(state.push, kernel(config.n, seed, config.complete_length, stop_len))):
-        raise RuntimeError("the annealing kernel returned an illegal partial")
-    return state
+    # replayed from the kernel's list: a TransitionSequence per attempt raised a
+    # bench hunt's peak memory by 0.4 MB, held in the interpreter's tuple free list
+    partial = kernel(config.n, seed, config.complete_length, stop_len)
+    try:
+        return SearchState.from_prefix(config.n, partial)
+    except ValueError as e:
+        raise RuntimeError("the annealing kernel returned an illegal partial") from e
 
 
 def _anneal_py(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
@@ -152,7 +159,7 @@ def _anneal_py(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
         temperature *= COOLING_FACTOR
     if current.seq != best:
         # the schedule ran out after accepting a move away from the best
-        current = SearchState.from_prefix(n, TransitionSequence(n, tuple(best)))
+        current = SearchState.from_prefix(n, best)
     return current
 
 
@@ -271,7 +278,8 @@ def hunt(config: AnnealConfig) -> HuntResult:
     """Anneal, truncate to the handoff length, complete by backtracking.
 
     The completion starts from the annealer's own state, cut back to the
-    handoff length, with no replay of the prefix.
+    handoff length, with no replay of the prefix; a complete partial is not
+    cut, and the walk returns it as its first node.
 
     Restarts use seeds derived from ``config.rng_seed``; the result
     records the seed of the winning attempt.
@@ -284,24 +292,16 @@ def hunt(config: AnnealConfig) -> HuntResult:
         # a handoff of 0 anneals the full schedule
         state = _anneal(config, seed, config.handoff or config.complete_length)
         best_partial = max(best_partial, len(state.seq))
-        if len(state.seq) == config.complete_length:
-            found = state.sequence()  # the annealer itself finished
-        else:
+        if len(state.seq) < config.complete_length:
             state.truncate(config.handoff)
-            found = _complete(state, config.mode, config.completion_budget).found
+        found = _complete(state, config.mode, config.completion_budget).found
         if found is not None:
-            return HuntResult(
-                found=found,
-                best_partial_length=max(best_partial, len(found)),
-                attempts=attempt + 1,
-                elapsed=time.monotonic() - start,
-                rng_seed=base,
-                winning_seed=seed,
-            )
+            break
     return HuntResult(
-        found=None,
-        best_partial_length=best_partial,
-        attempts=config.restarts,
+        found=found,
+        best_partial_length=best_partial if found is None else config.complete_length,
+        attempts=attempt + 1,
         elapsed=time.monotonic() - start,
         rng_seed=base,
+        winning_seed=None if found is None else seed,
     )

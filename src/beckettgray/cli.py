@@ -56,6 +56,20 @@ def _in_range(kind: type, lo: float, hi: float = float("inf")):
 _bits = _in_range(int, 1, MAX_BITS)
 
 
+def _open_out(path: Optional[str]):
+    """``path`` opened to append, or None for no path.  A last line left
+    unfinished, as by a run killed mid-line, is ended first."""
+    if not path:
+        return None
+    out = open(path, "a")
+    if os.path.getsize(path):  # 0 for a pipe
+        with open(path, "rb") as fp:
+            fp.seek(-1, os.SEEK_END)
+            if fp.read() != b"\n":
+                out.write("\n")
+    return out
+
+
 def _input_sequences(n: int, args_seqs: list[str]) -> Iterable[TransitionSequence]:
     return (seq for _, seq in read_sequence_file(args_seqs or sys.stdin, n))
 
@@ -180,15 +194,10 @@ def _cmd_enumerate(args) -> int:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        out = open(args.out, "a") if args.out else None
+        out = _open_out(args.out)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if out and os.path.getsize(args.out):  # 0 for a pipe
-        with open(args.out, "rb") as fp:  # a run killed mid-line left no "\n"
-            fp.seek(-1, os.SEEK_END)
-            if fp.read() != b"\n":
-                out.write("\n")
     done = _read_checkpoint(args.out, args.n, mode) if sharded and args.out else {}
 
     def emit_line(text: str) -> None:
@@ -264,7 +273,7 @@ def _cmd_hunt(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        out = open(args.out, "a") if args.out else None
+        out = _open_out(args.out)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import canonicalize
 from .core import MAX_BITS, TransitionSequence, WordPath, apply_transitions
@@ -59,6 +59,12 @@ def _row(mask: int) -> tuple[tuple[int, int], ...]:
     return row
 
 
+@functools.cache
+def _one_bits(n: int) -> tuple[int, ...]:
+    """The words of n bits with one bit set, in ascending order."""
+    return tuple(1 << p for p in range(n))
+
+
 def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> tuple[bytearray, int]:
     """Available neighbours of each unvisited word, and their total deficit.
 
@@ -70,7 +76,7 @@ def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> tuple[bytea
     fewer than two: a cycle needs it 0, an open path at most 1.
     """
     avail = bytearray(1 << n)
-    bits = [1 << p for p in range(n)]
+    bits = _one_bits(n)
     # the current word and word 0 are visited, so the scan below does not
     # count them again; for a cycle at word 0 they are one word
     for b in bits:
@@ -100,6 +106,12 @@ class SearchConfig:
     emit: str = "canonical-codes"  # count-only | canonical-codes
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_BITS:
+            raise ValueError(f"n={self.n} outside [1, {MAX_BITS}]")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit={self.node_limit} below 0")
+        if self.time_limit is not None and not self.time_limit >= 0:  # true for NaN too
+            raise ValueError(f"time_limit={self.time_limit} is not a time >= 0")
         if self.mode not in ("cyclic", "open", "both"):
             raise ValueError(f"bad mode {self.mode!r}")
         if self.emit not in ("count-only", "canonical-codes"):
@@ -160,15 +172,12 @@ class SearchState:
         self.used_log: list[int] = []
 
     @classmethod
-    def from_prefix(cls, n: int, prefix: Optional[TransitionSequence]) -> "SearchState":
+    def from_prefix(cls, n: int, prefix: Optional[Iterable[int]]) -> "SearchState":
+        """A fresh state with the symbols of ``prefix`` pushed, if any."""
         state = cls(n)
-        if prefix is not None:
-            for s in prefix.symbols:
-                if not state.push(s):
-                    raise ValueError(
-                        f"prefix is not Beckett-consistent at symbol index "
-                        f"{len(state.seq)}"
-                    )
+        # all() stops at the first symbol push refuses, so len(seq) is its index
+        if prefix is not None and not all(map(state.push, prefix)):
+            raise ValueError(f"prefix is not Beckett-consistent at symbol index {len(state.seq)}")
         return state
 
     def children(self, restricted_growth: bool = True) -> list[int]:
@@ -259,7 +268,7 @@ class SearchState:
             if n > 1:  # the 1-bit cycle uses its one edge twice
                 cyclic = prune == "cyclic"
                 slack = 0 if cyclic else 1  # an open path's end word needs only one
-                bits = tuple(1 << p for p in range(n))
+                bits = _one_bits(n)
                 avail, deficit = _degrees(n, visited, word, cyclic)
                 if deficit > slack:
                     stop = depth

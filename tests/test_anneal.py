@@ -304,6 +304,14 @@ class TestPythonAnnealer:
         TestAnnealPartial.test_state_is_left_at_the_returned_partial)
 
 
+def test_illegal_kernel_partial_is_an_error(monkeypatch):
+    # 0 then 0 dequeues back to word 0 before every word is visited
+    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, seed, length, stop_len: [0, 0])
+    with pytest.raises(RuntimeError, match="illegal partial") as raised:
+        _anneal(AnnealConfig(n=3), 0, 5)
+    assert isinstance(raised.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize("broken", ["no-cc", "failing-cc", "unwritable-cache"])
 def test_hunt_falls_back_when_the_kernel_cannot_be_built(broken, fresh_kernel, monkeypatch,
                                                           tmp_path):

@@ -342,6 +342,17 @@ class TestOtherCommands:
         # the header and code as printed
         assert out.read_text().splitlines() == r.stdout.splitlines()[:2]
 
+    def test_hunt_out_ends_an_unfinished_last_line(self, tmp_path):
+        # a run killed mid-line left the code without its "\n"
+        out = tmp_path / "found.txt"
+        out.write_text("n=4 mode=open\n023102321320132")
+        r = run_cli("hunt", "-n", "4", "--mode", "open", "--seed", "1", "--handoff", "8",
+                    "--out", str(out))
+        assert r.returncode == 0
+        with out.open() as fp:
+            codes = [str(seq) for _, seq in read_sequence_file(fp, 4)]
+        assert codes == ["023102321320132", "201320121320132"]
+
     def test_python_m_package_runs_the_cli(self):
         r = run_cli("verify", "-n", "3", "0102101", module="beckettgray")
         assert r.returncode == 0

@@ -199,6 +199,18 @@ class TestSplitPrefixes:
         with pytest.raises(ValueError):
             SearchState.from_prefix(3, parse_symbols(3, "00"))
 
+    @pytest.mark.parametrize("prefix", [parse_symbols(3, "00"), [0, 0], iter([0, 0])],
+                             ids=["sequence", "list", "iterator"])
+    def test_prefix_error_names_the_refused_symbol(self, prefix):
+        with pytest.raises(ValueError, match="at symbol index 1$"):
+            SearchState.from_prefix(3, prefix)
+
+    def test_symbol_list_replays_as_its_sequence(self):
+        assert _snapshot(SearchState.from_prefix(3, [0, 1, 0])) == _snapshot(
+            SearchState.from_prefix(3, TransitionSequence(3, (0, 1, 0))))
+        assert _snapshot(SearchState.from_prefix(3, [])) == _snapshot(
+            SearchState.from_prefix(3, None))
+
 
 class TestGrayCycleEnumeration:
     def test_two_bit_cycles(self):

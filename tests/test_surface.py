@@ -73,8 +73,18 @@ def test_config_fields():
     lambda: SearchConfig(3, emit="x"),
     lambda: SearchConfig(3, prefix=TransitionSequence(4, ())),
     lambda: EnumerationReport(3, "both").merge(EnumerationReport(4, "both")),
+    # the ranges the CLI checks, and a budget that would drop a complete partial
+    lambda: SearchConfig(0),
+    lambda: SearchConfig(40),
+    lambda: SearchConfig(3, node_limit=-1),
+    lambda: SearchConfig(3, time_limit=-1.0),
+    lambda: SearchConfig(3, time_limit=float("nan")),
+    lambda: AnnealConfig(n=4, restarts=0),
+    lambda: AnnealConfig(n=4, restarts=-1),
+    lambda: AnnealConfig(n=4, completion_budget=0),
 ], ids=["anneal-mode", "complete-mode", "search-mode", "search-emit", "search-prefix-n",
-        "merge-n"])
+        "merge-n", "search-n0", "search-n40", "search-node-limit-1", "search-time-limit-1",
+        "search-time-limit-nan", "anneal-restarts0", "anneal-restarts-1", "anneal-budget0"])
 def test_bad_input_is_rejected(make):
     with pytest.raises(ValueError):
         make()
