@@ -21,10 +21,9 @@ from typing import Iterable, Optional
 from . import anneal as anneal_mod
 from . import estimate as estimate_mod
 from .beckett import BeckettKind, BeckettViolationError, classify_beckett, queue_trace
-from .canonical import IncompleteAlphabetError, are_isomorphic_beckett, canonicalize
+from .canonical import are_isomorphic_beckett, canonicalize
 from .core import (
     MAX_BITS,
-    MalformedSequenceError,
     TransitionSequence,
     format_symbols,
     parse_symbols,
@@ -57,16 +56,19 @@ _bits = _in_range(int, 1, MAX_BITS)
 
 
 def _open_out(path: Optional[str]):
-    """``path`` opened to append, or None for no path.  A last line left
-    unfinished, as by a run killed mid-line, is ended first."""
+    """``path`` opened to append, or None for no path; a ``ValueError`` if it
+    cannot be.  A last line left unfinished, as by a killed run, is ended first."""
     if not path:
         return None
-    out = open(path, "a")
-    if os.path.getsize(path):  # 0 for a pipe
-        with open(path, "rb") as fp:
-            fp.seek(-1, os.SEEK_END)
-            if fp.read() != b"\n":
-                out.write("\n")
+    try:
+        out = open(path, "a")
+        if os.path.getsize(path):  # 0 for a pipe
+            with open(path, "rb") as fp:
+                fp.seek(-1, os.SEEK_END)
+                if fp.read() != b"\n":
+                    out.write("\n")
+    except OSError as e:
+        raise ValueError(e) from e
     return out
 
 
@@ -116,23 +118,21 @@ def _cmd_canonicalize(args) -> int:
     return EXIT_OK
 
 
-def _run_shard(
-    config: SearchConfig, deadline: Optional[float]
-) -> tuple[str, EnumerationReport, list[tuple[str, str]]]:
+def _run_shard(config: SearchConfig,
+               deadline: Optional[float]) -> tuple[EnumerationReport, list[str]]:
     """Walk one shard, with the time left before the run's wall-clock ``deadline``.
 
     A shard that starts after the deadline is not walked; it is reported
     as truncated, so that a resumed run walks it again.
     """
-    emitted: list[tuple[str, str]] = []
-    prefix = "" if config.prefix is None else str(config.prefix)
+    lines: list[str] = []
     if deadline is not None:
         left = deadline - time.time()  # wall clock: workers are other processes
         if left <= 0:
-            return prefix, EnumerationReport(config.n, config.mode, truncated=True), emitted
+            return EnumerationReport(config.n, config.mode, truncated=True), lines
         config = replace(config, time_limit=left)
-    report = enumerate_beckett(config, lambda kind, seq: emitted.append((kind, str(seq))))
-    return prefix, report, emitted
+    report = enumerate_beckett(config, lambda kind, seq: lines.append(str(seq)))
+    return report, lines
 
 
 # checkpoint line field -> EnumerationReport field
@@ -169,11 +169,7 @@ def _read_checkpoint(path: str, n: int, mode: str) -> dict[str, EnumerationRepor
 def _cmd_enumerate(args) -> int:
     mode = args.mode
     prefix = parse_symbols(args.n, args.prefix) if args.prefix else None
-    try:
-        SearchState.from_prefix(args.n, prefix)  # raises if the prefix breaks the queue rule
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    SearchState.from_prefix(args.n, prefix)  # raises if the prefix breaks the queue rule
     base = SearchConfig(
         n=args.n,
         mode=mode,
@@ -188,16 +184,8 @@ def _cmd_enumerate(args) -> int:
         # one time budget for the whole run, split included, not one per shard
         deadline = None if args.time_limit is None else time.time() + args.time_limit
         depth = 4 if args.depth is None else args.depth
-        try:
-            shards, shallow, cut = split_tree(args.n, depth, prefix, args.time_limit)
-        except ValueError as e:  # a split depth out of range
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        out = _open_out(args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        shards, shallow, cut = split_tree(args.n, depth, prefix, args.time_limit)
+    out = _open_out(args.out)
     done = _read_checkpoint(args.out, args.n, mode) if sharded and args.out else {}
 
     def emit_line(text: str) -> None:
@@ -220,15 +208,16 @@ def _cmd_enumerate(args) -> int:
                 pending.append(replace(base, prefix=shard.prefix))
         mark = start
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for prefix_str, report, emitted in pool.map(_run_shard, pending, repeat(deadline)):
+            results = pool.map(_run_shard, pending, repeat(deadline))
+            for shard, (report, lines) in zip(pending, results):
                 # a shard is charged the wall time since the one before it came in
                 # (the first, since the start), so the shards of a run sum to its
                 # wall time, and a resume adds up the recorded ones the same way
                 now = time.perf_counter()
                 report.elapsed, mark = now - mark, now
-                for kind, text in emitted:
+                for text in lines:
                     emit_line(text)
-                emit_line(_shard_line(prefix_str, report))
+                emit_line(_shard_line(str(shard.prefix), report))
                 total = total.merge(report)
         report = total
     else:
@@ -260,23 +249,15 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_hunt(args) -> int:
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2**32)
-    try:
-        config = anneal_mod.AnnealConfig(
-            n=args.n,
-            mode=args.mode,
-            rng_seed=seed,
-            restarts=args.restarts,
-            completion_budget=args.budget,
-            seed_handoff_length=args.handoff,
-        )
-    except ValueError as e:  # a handoff length out of range
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        out = _open_out(args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    config = anneal_mod.AnnealConfig(
+        n=args.n,
+        mode=args.mode,
+        rng_seed=seed,
+        restarts=args.restarts,
+        completion_budget=args.budget,
+        seed_handoff_length=args.handoff,
+    )
+    out = _open_out(args.out)
     if args.seed is None:
         print(f"# seed={seed} (auto-chosen)")
     result = anneal_mod.hunt(config)
@@ -388,7 +369,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MalformedSequenceError, IncompleteAlphabetError) as e:
+    except ValueError as e:  # every input a command refuses, a malformed sequence included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

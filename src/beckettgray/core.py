@@ -170,16 +170,11 @@ def parse_symbols(n: int, text: str) -> TransitionSequence:
     text = text.strip()
     if not text:
         return TransitionSequence(n, ())
-    if n <= 10 and "," not in text:
-        try:
-            symbols = tuple(int(c) for c in text)
-        except ValueError as e:
-            raise MalformedSequenceError(f"bad symbol in {text!r}") from e
-    else:
-        try:
-            symbols = tuple(int(part) for part in text.split(","))
-        except ValueError as e:
-            raise MalformedSequenceError(f"bad symbol in {text!r}") from e
+    parts = text if n <= 10 and "," not in text else text.split(",")
+    try:
+        symbols = tuple(map(int, parts))
+    except ValueError as e:
+        raise MalformedSequenceError(f"bad symbol in {text!r}") from e
     return TransitionSequence(n, symbols)
 
 

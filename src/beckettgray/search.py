@@ -176,9 +176,12 @@ class SearchState:
         """A fresh state with the symbols of ``prefix`` pushed, if any."""
         state = cls(n)
         # all() stops at the first symbol push refuses, so len(seq) is its index
-        if prefix is not None and not all(map(state.push, prefix)):
-            raise ValueError(f"prefix is not Beckett-consistent at symbol index {len(state.seq)}")
-        return state
+        try:  # push raises on a symbol outside [0, n), before it changes the state
+            if prefix is None or all(map(state.push, prefix)):
+                return state
+        except (IndexError, ValueError):
+            pass
+        raise ValueError(f"prefix is not Beckett-consistent at symbol index {len(state.seq)}")
 
     def children(self, restricted_growth: bool = True) -> list[int]:
         """Legal next symbols in ascending order: those ``push`` accepts."""

@@ -205,6 +205,15 @@ class TestEnumerate:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
+    def test_malformed_checkpoint_count_is_a_usage_error(self, tmp_path):
+        # a shard line written to its last field, with a count that is not a number
+        out = tmp_path / "run.txt"
+        out.write_text("n=3 mode=both\nshard=01 cyclic=x open_total=0 open_strict=0 "
+                       "nodes=1 elapsed=0.0 truncated=False\n")
+        r = run_cli("enumerate", "-n", "3", "--depth", "2", "--count-only", "--out", str(out))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")
         assert "0102101" in r.stdout

@@ -228,6 +228,14 @@ class TestTextFormat:
         assert format_symbols(12, (0, 11, 5)) == "0,11,5"
         assert parse_symbols(12, "0,11,5").symbols == (0, 11, 5)
 
+    def test_commas_read_when_small(self):
+        assert parse_symbols(3, "0,1,2").symbols == (0, 1, 2)
+
+    @pytest.mark.parametrize("n, text", [(3, "01x"), (3, "0,x"), (12, "0,x")])
+    def test_bad_symbol_is_malformed(self, n, text):
+        with pytest.raises(MalformedSequenceError, match="bad symbol in"):
+            parse_symbols(n, text)
+
     def test_file_round_trip(self):
         buf = io.StringIO()
         codes = [seq(3, "0102101")]

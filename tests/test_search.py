@@ -199,10 +199,13 @@ class TestSplitPrefixes:
         with pytest.raises(ValueError):
             SearchState.from_prefix(3, parse_symbols(3, "00"))
 
-    @pytest.mark.parametrize("prefix", [parse_symbols(3, "00"), [0, 0], iter([0, 0])],
-                             ids=["sequence", "list", "iterator"])
-    def test_prefix_error_names_the_refused_symbol(self, prefix):
-        with pytest.raises(ValueError, match="at symbol index 1$"):
+    @pytest.mark.parametrize("prefix, index", [
+        (parse_symbols(3, "00"), 1), ([0, 0], 1), (iter([0, 0]), 1),
+        # symbols outside [0, n) are refused as well, at their own index
+        ([3], 0), ([0, 7], 1), ([-1], 0), ([0, 1, 0, 3], 3),
+    ], ids=["sequence", "list", "iterator", "3-first", "7-second", "minus1-first", "3-fourth"])
+    def test_prefix_error_names_the_refused_symbol(self, prefix, index):
+        with pytest.raises(ValueError, match=f"at symbol index {index}$"):
             SearchState.from_prefix(3, prefix)
 
     def test_symbol_list_replays_as_its_sequence(self):
