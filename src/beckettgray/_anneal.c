@@ -1,11 +1,14 @@
-/* The annealing loop of beckettgray.anneal._anneal, compiled.
+/* One attempt of beckettgray.anneal.hunt, compiled: the annealing, the cut
+   back to the handoff and the degree-pruned completion.
 
    anneal.py builds this file with the system cc on first use and calls
-   bg_anneal through ctypes; anneal._anneal_py is the reference it follows
-   step for step.  The generator is CPython's MT19937, seeded and drawn as
-   random.Random(seed) seeds and draws for an int seed, so the kernel makes
-   every draw the reference makes and returns the same best partial.  All
-   state lives in the call: ctypes releases the GIL around it. */
+   bg_attempt through ctypes; anneal._anneal_py, SearchState.truncate and
+   anneal._complete are the reference it follows step for step.  The
+   generator is CPython's MT19937, seeded and drawn as random.Random(seed)
+   seeds and draws for an int seed, so the kernel makes every draw the
+   reference makes, returns the same best partial and walks the same nodes.
+   All state but a table set once, on load, lives in the call: ctypes
+   releases the GIL around it. */
 
 #include <math.h>
 #include <stdint.h>
@@ -17,16 +20,26 @@
 
 typedef struct { uint32_t mt[MT_N]; int index; } mt_state;
 
-/* random.Random(seed): init_by_array keyed by the 32-bit words of abs(seed) */
-static void mt_seed(mt_state *r, const uint32_t *key, size_t len) {
+/* init_genrand(19650218), where every init_by_array starts; set once, when
+   the library is loaded */
+static uint32_t mt_start[MT_N];
+
+__attribute__((constructor)) static void mt_start_init(void) {
+    mt_start[0] = 19650218U;
+    for (uint32_t i = 1; i < MT_N; i++)
+        mt_start[i] = 1812433253U * (mt_start[i - 1] ^ (mt_start[i - 1] >> 30)) + i;
+}
+
+/* random.Random(seed): init_by_array keyed by the 32-bit words of abs(seed),
+   given as its little-endian bytes, len words of them */
+static void mt_seed(mt_state *r, const uint8_t *key, size_t len) {
     uint32_t *mt = r->mt;
-    size_t i, j = 0, k;
-    mt[0] = 19650218U;
-    for (i = 1; i < MT_N; i++)
-        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
-    i = 1;
+    size_t i = 1, j = 0, k;
+    memcpy(mt, mt_start, sizeof mt_start);
     for (k = MT_N > len ? MT_N : len; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        const uint8_t *w = key + 4 * j;
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + (w[0] | w[1] << 8 | w[2] << 16 | (uint32_t)w[3] << 24) + (uint32_t)j;
         if (++i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
         if (++j >= len) j = 0;
     }
@@ -95,42 +108,136 @@ static void truncate_to(search_state *s, int depth) {
     }
 }
 
+/* the node's moves before the visited test: the unset bits and the front's;
+   at depth 2**n - 1 with one bit set, every word is visited, so word 0's
+   flag is cleared for the step that closes the cycle, and that push sets
+   it again */
+static uint32_t moves(search_state *s) {
+    uint32_t last = (1U << s->n) - 1, word = s->word;
+    if ((uint32_t)s->len == last && !(word & (word - 1))) s->visited[0] = 0;
+    return last ^ word ^ (word ? 1U << s->queue[s->qlen - __builtin_popcount(word)] : 0);
+}
+
 static void descend(search_state *s, mt_state *r, int stop_at) {
-    uint32_t last = (1U << s->n) - 1, word, front;
+    uint32_t mask;
     int kids[32], k;
     while (s->len < stop_at) {
-        word = s->word;
-        front = word ? 1U << s->queue[s->qlen - __builtin_popcount(word)] : 0;
-        if ((uint32_t)s->len == last && !(word & (word - 1)))
-            s->visited[0] = 0;  /* every word is visited: close the cycle */
+        mask = moves(s);
         k = 0;
         for (int p = 0; p < s->n; p++)
-            if (((last ^ word ^ front) >> p & 1) && !s->visited[word ^ 1U << p]) kids[k++] = p;
+            if ((mask >> p & 1) && !s->visited[s->word ^ 1U << p]) kids[k++] = p;
         if (!k) break;
         push(s, kids[mt_below(r, k)]);
     }
 }
 
-/* Anneal from a fresh n-bit state grown to at most target symbols; write
-   the best partial to best (target bytes) and return its length, or -1 if
-   memory runs out. */
-int bg_anneal(int n, const uint32_t *key, size_t key_len, int target, int stop_len,
-              double temperature, double cooling, int steps, double floor, int max_cut,
-              uint8_t *best) {
+/* search._degrees: the available neighbours of each unvisited word (the
+   unvisited ones, the current word, and word 0 for a cycle) in avail, and
+   the deficit, the sum of 2 - count over the words with fewer than two */
+static int degrees(const search_state *s, uint8_t *avail, int cyclic) {
+    uint32_t words = 1U << s->n;
+    int deficit = 0, a;
+    memset(avail, 0, words);
+    for (int p = 0; p < s->n; p++) {
+        avail[s->word ^ 1U << p]++;
+        if (cyclic && s->word) avail[1U << p]++;
+    }
+    for (uint32_t x = 0; x < words; x++)
+        if (!s->visited[x]) {
+            a = avail[x];
+            for (int p = 0; p < s->n; p++) a += !s->visited[x ^ 1U << p];
+            avail[x] = (uint8_t)a;
+            if (a < 2) deficit += 2 - a;
+        }
+    return deficit;
+}
+
+/* walk's O(n) update when the state leaves word u (step -1) or comes back
+   to it (+1): u's unvisited neighbours lose or regain it; returns the
+   change in the deficit */
+static int shift(const search_state *s, uint8_t *avail, uint32_t u, int step) {
+    int change = 0, low;
+    for (int p = 0; p < s->n; p++)
+        if (!s->visited[u ^ 1U << p]) {
+            low = step < 0 ? --avail[u ^ 1U << p] : avail[u ^ 1U << p]++;
+            change -= step * (low < 2);
+        }
+    return change;
+}
+
+/* word w's share of the deficit while it is unvisited; word 0 has none */
+static int lack(const uint8_t *avail, uint32_t w) {
+    return w && avail[w] < 2 ? 2 - avail[w] : 0;
+}
+
+/* anneal._complete from the state as it stands: the nodes of
+   SearchState.walk(length, restricted_growth=False, prune=mode), in order,
+   counted into *nodes and stopped as _complete counts and stops them; the
+   mode is cyclic when length is 2**n.  rest[d] holds the untried moves of
+   the open node at depth d.  Returns 1 with the state at the code found, 0
+   once the count passes budget (0: no budget), or -1 when the walk ends. */
+static int complete(search_state *s, uint8_t *avail, uint32_t *rest, int length,
+                    long long budget, long long *nodes) {
+    int root = s->len, cyclic = length >> s->n, prune = s->n > 1, slack = !cyclic, p;
+    int deficit = prune ? degrees(s, avail, cyclic) : 0;
+    uint32_t u, *r;
+    for (long long count = 1;; count++) {
+        *nodes = count;
+        if (budget && count > budget) return 0;
+        if (s->len == length) return 1;
+        /* a node below which no code can be completed is not expanded */
+        rest[s->len] = deficit <= slack ? moves(s) : 0;
+        for (;;) {  /* the next child, or a climb to the nearest node with one */
+            r = &rest[s->len];
+            while (*r && s->visited[s->word ^ (*r & -*r)]) *r &= *r - 1;
+            if (*r) break;
+            if (s->len == root) return -1;
+            if (prune) {
+                deficit += lack(avail, s->word);
+                u = s->word ^ 1U << s->seq[s->len - 1];
+                if (u || !cyclic) deficit += shift(s, avail, u, 1);
+            }
+            truncate_to(s, s->len - 1);
+        }
+        p = __builtin_ctz(*r);
+        *r &= *r - 1;
+        push(s, p);
+        if (prune) {
+            u = s->word ^ 1U << p;
+            if (u || !cyclic) deficit += shift(s, avail, u, -1);
+            deficit -= lack(avail, s->word);
+        }
+    }
+}
+
+/* One hunt attempt.  Anneal a fresh n-bit state from the seed (seed_words
+   32-bit words of little-endian bytes, as mt_seed takes them) towards a
+   code of length symbols, stopping early at a partial of stop_len; write
+   the best partial to out (length bytes) and return its length, or -1 if
+   memory runs out.  With budget >= 0, then cut the best partial back to
+   handoff symbols unless it is a code, and complete it under budget nodes
+   (0: no budget): done[0] gets the node count and done[1] the outcome, 1
+   with the code in out, 0 out of budget, or -1 with no code below. */
+int bg_attempt(int n, const uint8_t *seed, int seed_words, int length, int stop_len,
+               int handoff, long long budget, double temperature, double cooling, int steps,
+               double floor, int max_cut, uint8_t *out, long long *done) {
     size_t words = (size_t)1 << n;
-    uint8_t *mem = calloc(words + 2 * (size_t)target + (size_t)max_cut, 1), *suffix;
+    uint32_t *rest = calloc((size_t)length * sizeof *rest + 2 * words + 2 * (size_t)length
+                            + (size_t)max_cut, 1);
+    uint8_t *avail, *suffix;
     search_state s = {n, 0, 0, 0, NULL, NULL, NULL};
     mt_state r;
     int best_len, cur_len, keep, cut, m;
-    if (!mem) return -1;
-    s.visited = mem;
-    s.seq = mem + words;
-    s.queue = s.seq + target;
-    suffix = s.queue + target;
+    if (!rest) return -1;
+    s.visited = (uint8_t *)(rest + length);
+    avail = s.visited + words;
+    s.seq = avail + words;
+    s.queue = s.seq + length;
+    suffix = s.queue + length;
     s.visited[0] = 1;
-    mt_seed(&r, key, key_len);
-    descend(&s, &r, target);
-    memcpy(best, s.seq, best_len = s.len);
+    mt_seed(&r, seed, (size_t)seed_words);
+    descend(&s, &r, length);
+    memcpy(out, s.seq, best_len = s.len);
     while (temperature > floor && best_len < stop_len) {
         for (int i = 0; i < steps; i++) {
             cur_len = s.len;
@@ -141,19 +248,30 @@ int bg_anneal(int n, const uint32_t *key, size_t key_len, int target, int stop_l
             cut = cur_len - keep;
             memcpy(suffix, s.seq + keep, cut);
             truncate_to(&s, keep);
-            descend(&s, &r, target);
+            descend(&s, &r, length);
             if (s.len < cur_len && mt_random(&r) >= exp((s.len - cur_len) / temperature)) {
                 /* rejected: restore the suffix that was cut */
                 truncate_to(&s, keep);
                 for (int j = 0; j < cut; j++) push(&s, suffix[j]);
             }
             if (s.len > best_len) {
-                memcpy(best, s.seq, best_len = s.len);
+                memcpy(out, s.seq, best_len = s.len);
                 if (best_len >= stop_len) break;
             }
         }
         temperature *= cooling;
     }
-    free(mem);
+    if (budget >= 0) {
+        /* the state at the best partial's first cut symbols: keep what it
+           shares with the best partial and push the rest */
+        cut = best_len == length || handoff > best_len ? best_len : handoff;
+        for (keep = 0; keep < s.len && keep < cut && s.seq[keep] == out[keep]; keep++)
+            ;
+        truncate_to(&s, keep);
+        while (s.len < cut) push(&s, out[s.len]);
+        done[1] = complete(&s, avail, rest, length, budget, &done[0]);
+        if (done[1] > 0) memcpy(out, s.seq, (size_t)length);
+    }
+    free(rest);
     return best_len;
 }

@@ -4,9 +4,10 @@ Simulated annealing grows long Beckett-consistent partial sequences
 (energy is minus the length; a move cuts a random suffix and regrows
 randomly until stuck).  Promising prefixes seed a deterministic
 backtracking completion, which starts from the annealer's own state cut
-back to the prefix, with no replay of it.  The annealing loop runs in a
-small C kernel, ``_anneal.c``, built on first use, or in Python where it
-cannot be built; both make the same draws.
+back to the prefix, with no replay of it.  A whole hunt attempt (the
+annealing, the cut and the degree-pruned completion) runs in a small C
+kernel, ``_anneal.c``, built on first use, or in Python where it cannot be
+built; both make the same draws and walk the same nodes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class AnnealConfig:
         if self.mode not in ("cyclic", "open"):
             raise ValueError(f"bad mode {self.mode!r}")
         if not isinstance(self.rng_seed, int):
-            # random.Random would hash it; the compiled annealer takes ints only
+            # random.Random would hash it; the compiled kernel takes ints only
             raise ValueError(f"rng_seed={self.rng_seed!r} is not an int")
         if self.restarts < 1:
             raise ValueError(f"restarts={self.restarts} below 1")
@@ -104,19 +105,39 @@ def _anneal(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
     partial of ``stop_len`` symbols is seen; ``stop_len`` is at most the
     code length, so no move starts from a complete code.
 
-    Runs in the compiled kernel (``_anneal.c``), which makes the same
-    draws and returns the same partial, or in ``_anneal_py`` when the
-    kernel cannot be built or loaded."""
+    Runs in the compiled kernel (``_anneal.c``) with the completion off, or
+    in ``_anneal_py`` when the kernel cannot be built or loaded."""
     kernel = _kernel()
     if kernel is None:
         return _anneal_py(config, seed, stop_len)
-    # replayed from the kernel's list: a TransitionSequence per attempt raised a
-    # bench hunt's peak memory by 0.4 MB, held in the interpreter's tuple free list
-    partial = kernel(config.n, seed, config.complete_length, stop_len)
+    got, out, _, _ = kernel(config.n, seed, config.complete_length, stop_len, 0, -1)
+    return _replay(config.n, out[:got])
+
+
+def _attempt(config: AnnealConfig, seed: int) -> tuple[int, CompletionResult]:
+    """One ``hunt`` attempt: the annealed partial's length, and the completion
+    from the annealer's own state, cut back to the handoff unless it is a code
+    (the walk's first node then).  Runs in the compiled kernel, or as
+    ``_anneal_py``, ``truncate`` and ``_complete``."""
+    stop_len = config.handoff or config.complete_length  # 0 anneals the full schedule
+    kernel = _kernel()
+    if kernel is None:
+        state = _anneal_py(config, seed, stop_len)
+        got = len(state.seq)
+        if got < config.complete_length:
+            state.truncate(config.handoff)
+        return got, _complete(state, config.mode, config.completion_budget)
+    got, out, nodes, outcome = kernel(config.n, seed, config.complete_length, stop_len,
+                                      config.handoff, config.completion_budget or 0)
+    found = _replay(config.n, out).sequence() if outcome > 0 else None
+    return got, CompletionResult(found, outcome < 0, nodes)
+
+
+def _replay(n: int, symbols: bytes) -> SearchState:
     try:
-        return SearchState.from_prefix(config.n, partial)
+        return SearchState.from_prefix(n, symbols)
     except ValueError as e:
-        raise RuntimeError("the annealing kernel returned an illegal partial") from e
+        raise RuntimeError("the attempt kernel returned an illegal sequence") from e
 
 
 def _anneal_py(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
@@ -168,11 +189,12 @@ _CC = ("cc", "-O2", "-shared", "-fPIC")  # no -ffast-math: exp must be libm's, a
 
 
 @functools.cache
-def _kernel() -> Optional[Callable[[int, int, int, int], list[int]]]:
-    """The compiled annealer as ``run(n, seed, length, stop_len)``, which
-    returns the best partial of ``_anneal_py`` for a code of ``length``
-    symbols; or None if the kernel cannot be built or loaded.  Tried once
-    per process; ctypes is imported only here."""
+def _kernel() -> Optional[Callable[[int, int, int, int, int, int], tuple[int, bytes, int, int]]]:
+    """The compiled attempt as ``run(n, seed, length, stop_len, handoff, budget)``
+    for a code of ``length`` symbols: the best partial's length, the best partial
+    or the code found, and the completion's node count and outcome (1 found, 0
+    out of budget, -1 none below); a ``budget`` of 0 is no limit, -1 no completion.
+    None if the kernel cannot be built.  Tried once; ctypes is imported only here."""
     if os.name != "posix":
         return None
     try:
@@ -181,23 +203,22 @@ def _kernel() -> Optional[Callable[[int, int, int, int], list[int]]]:
         library = ctypes.CDLL(_build())
     except (ImportError, OSError):
         return None
-    fn = library.bg_anneal
-    c_int, c_double = ctypes.c_int, ctypes.c_double
-    fn.argtypes = (c_int, ctypes.POINTER(ctypes.c_uint32), ctypes.c_size_t, c_int, c_int,
-                   c_double, c_double, c_int, c_double, c_int, ctypes.POINTER(ctypes.c_uint8))
+    fn = library.bg_attempt
+    c_int, c_double, c_longlong = ctypes.c_int, ctypes.c_double, ctypes.c_longlong
+    fn.argtypes = (c_int, ctypes.c_char_p, c_int, c_int, c_int, c_int, c_longlong, c_double,
+                   c_double, c_int, c_double, c_int, ctypes.c_char_p, ctypes.POINTER(c_longlong))
     fn.restype = c_int
 
-    def run(n: int, seed: int, length: int, stop_len: int) -> list[int]:
+    def run(n, seed, length, stop_len, handoff, budget):
         # random.Random(seed) keys its generator by the 32-bit words of abs(seed)
-        seed = abs(seed)
-        key = [seed >> i & 0xFFFFFFFF for i in range(0, max(seed.bit_length(), 1), 32)]
-        best = (ctypes.c_uint8 * length)()
-        got = fn(n, (ctypes.c_uint32 * len(key))(*key), len(key), length, stop_len,
-                 INITIAL_TEMPERATURE, COOLING_FACTOR, STEPS_PER_TEMPERATURE,
-                 TEMPERATURE_FLOOR, MAX_BACKTRACK_CUT, best)
+        words = max(abs(seed).bit_length() + 31 >> 5, 1)
+        out, done = ctypes.create_string_buffer(length), (c_longlong * 2)()
+        got = fn(n, abs(seed).to_bytes(4 * words, "little"), words, length, stop_len, handoff,
+                 min(budget, 1 << 62), INITIAL_TEMPERATURE, COOLING_FACTOR,
+                 STEPS_PER_TEMPERATURE, TEMPERATURE_FLOOR, MAX_BACKTRACK_CUT, out, done)
         if got < 0:
-            raise MemoryError("the annealing kernel could not allocate its state")
-        return best[:got]
+            raise MemoryError("the attempt kernel could not allocate its state")
+        return got, out.raw, done[0], done[1]
 
     return run
 
@@ -275,27 +296,18 @@ def _complete(state: SearchState, mode: str, budget: Optional[int]) -> Completio
 
 
 def hunt(config: AnnealConfig) -> HuntResult:
-    """Anneal, truncate to the handoff length, complete by backtracking.
-
-    The completion starts from the annealer's own state, cut back to the
-    handoff length, with no replay of the prefix; a complete partial is not
-    cut, and the walk returns it as its first node.
-
-    Restarts use seeds derived from ``config.rng_seed``; the result
-    records the seed of the winning attempt.
+    """Anneal, truncate to the handoff length, complete by backtracking: one
+    ``_attempt`` per restart until one finds a code.  Attempt ``k`` anneals from
+    the seed ``config.rng_seed * 1_000_003 + k``, recorded if it wins.
     """
     start = time.monotonic()
     best_partial = 0
     base = config.rng_seed
     for attempt in range(config.restarts):
         seed = base * 1_000_003 + attempt
-        # a handoff of 0 anneals the full schedule
-        state = _anneal(config, seed, config.handoff or config.complete_length)
-        best_partial = max(best_partial, len(state.seq))
-        if len(state.seq) < config.complete_length:
-            state.truncate(config.handoff)
-        found = _complete(state, config.mode, config.completion_budget).found
-        if found is not None:
+        got, completion = _attempt(config, seed)
+        best_partial = max(best_partial, got)
+        if (found := completion.found) is not None:
             break
     return HuntResult(
         found=found,

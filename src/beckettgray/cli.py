@@ -160,6 +160,8 @@ def _read_checkpoint(path: str, n: int, mode: str) -> dict[str, EnumerationRepor
                   and line.split()[-1] == "truncated=False"):
                 f = dict(field.split("=", 1) for field in line.split())
                 f.setdefault("elapsed", "0.0")  # lines written before it was recorded
+                if not f.keys() >= _SHARD_FIELDS.keys():
+                    raise ValueError(f"checkpoint shard line without every count: {line.strip()}")
                 counts = {v: (float if k == "elapsed" else int)(f[k])
                           for k, v in _SHARD_FIELDS.items()}
                 done[f["shard"]] = EnumerationReport(n=n, mode=mode, **counts)
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="Monte-Carlo search-tree size estimate")
     p.add_argument("-n", type=_bits, required=True)
-    p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both")
+    p.add_argument("--mode", choices=["cyclic", "open", "both"], default="both",
+                   help="reported only: the estimate is of the unpruned tree, whatever the mode")
     p.add_argument("--samples", type=_in_range(int, 1), default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")

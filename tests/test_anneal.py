@@ -11,6 +11,7 @@ from beckettgray import anneal
 from beckettgray.anneal import (
     AnnealConfig,
     _anneal,
+    _attempt,
     anneal_partial,
     complete_backtrack,
     hunt,
@@ -56,7 +57,7 @@ def _fields(state):
     return {name: getattr(state, name) for name in SearchState.__slots__}
 
 
-# the compiled annealer keys its generator by the 32-bit words of abs(seed)
+# the compiled kernel keys its generator by the 32-bit words of abs(seed)
 SEEDS = (*range(41), -1, -12_345, 2**32 + 7, 2**64 + 3, -(2**70) - 11)
 LONG_SEEDS = (0, 2**64 + 3)  # for the schedules that take about a second in Python
 
@@ -264,7 +265,8 @@ class TestHunt:
 
 @needs_cc
 class TestCompiledAnnealer:
-    """The kernel against the Python annealer, and the pinned streams on it."""
+    """The kernel against the Python annealer and the Python attempt, and the
+    pinned streams on it."""
 
     @pytest.fixture(autouse=True)
     def compiled(self):
@@ -282,6 +284,35 @@ class TestCompiledAnnealer:
         for stop_len, seed in runs:
             assert _fields(_anneal(config, seed, stop_len)) == _fields(
                 anneal._anneal_py(config, seed, stop_len)), (stop_len, seed)
+
+    @pytest.mark.parametrize("mode", ["cyclic", "open"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_python_attempt(self, n, mode, monkeypatch):
+        # the annealed length, the code, and each completion's outcome and node
+        # count; budgets 1 to 3 stop many completions, the default handoff's
+        # and the full code's take at most 404 nodes, but from a handoff of 0
+        # or 1 an unlimited walk runs for minutes in Python from n = 6 on
+        length = AnnealConfig(n=n, mode=mode).complete_length
+        runs = []
+        for handoff, seeds in ((None, SEEDS), (0, LONG_SEEDS), (1, SEEDS), (length, LONG_SEEDS)):
+            budgets = (1, 2, 3, 50) if n > 5 and handoff in (0, 1) else (1, 2, 3, 50, None)
+            runs += [(AnnealConfig(n=n, mode=mode, seed_handoff_length=handoff,
+                                   completion_budget=budget), seed)
+                     for budget in budgets for seed in seeds]
+        compiled = [_attempt(config, seed) for config, seed in runs]
+        # the Python path, with each partial annealed once for all the budgets
+        monkeypatch.setattr(anneal, "_kernel", lambda: None)
+        partials = {}
+        anneal_py = anneal._anneal_py
+
+        def annealed(config, seed, stop_len):
+            if (seed, stop_len) not in partials:
+                partials[seed, stop_len] = anneal_py(config, seed, stop_len).seq
+            return SearchState.from_prefix(n, partials[seed, stop_len])
+
+        monkeypatch.setattr(anneal, "_anneal_py", annealed)
+        for (config, seed), got in zip(runs, compiled):
+            assert got == _attempt(config, seed), (config, seed)
 
     test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
     test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
@@ -305,11 +336,14 @@ class TestPythonAnnealer:
 
 
 def test_illegal_kernel_partial_is_an_error(monkeypatch):
-    # 0 then 0 dequeues back to word 0 before every word is visited
-    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, seed, length, stop_len: [0, 0])
-    with pytest.raises(RuntimeError, match="illegal partial") as raised:
-        _anneal(AnnealConfig(n=3), 0, 5)
-    assert isinstance(raised.value.__cause__, ValueError)
+    # 0 then 0 dequeues back to word 0 before every word is visited: as the
+    # best partial (no completion) and as the code an attempt found
+    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, seed, length, stop_len, handoff,
+                        budget: (2, bytes(length), 1, 1))
+    for call in (lambda: _anneal(AnnealConfig(n=3), 0, 5), lambda: hunt(AnnealConfig(n=3))):
+        with pytest.raises(RuntimeError, match="illegal sequence") as raised:
+            call()
+        assert isinstance(raised.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("broken", ["no-cc", "failing-cc", "unwritable-cache"])

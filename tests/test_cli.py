@@ -214,6 +214,14 @@ class TestEnumerate:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
+    def test_checkpoint_line_without_a_count_is_a_usage_error(self, tmp_path):
+        # truncated=False is written last, but the counts before it are missing
+        out = tmp_path / "run.txt"
+        out.write_text("n=3 mode=both\nshard=01 truncated=False\n")
+        r = run_cli("enumerate", "-n", "3", "--depth", "2", "--count-only", "--out", str(out))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
     def test_prefix_rooting(self):
         r = run_cli("enumerate", "-n", "3", "--mode", "open", "--prefix", "01")
         assert "0102101" in r.stdout
