@@ -2,13 +2,14 @@
    back to the handoff and the degree-pruned completion.
 
    anneal.py builds this file with the system cc on first use and calls
-   bg_attempt through ctypes; anneal._anneal_py, SearchState.truncate and
-   anneal._complete are the reference it follows step for step.  The
-   generator is CPython's MT19937, seeded and drawn as random.Random(seed)
-   seeds and draws for an int seed, so the kernel makes every draw the
-   reference makes, returns the same best partial and walks the same nodes.
-   All state but a table set once, on load, lives in the call: ctypes
-   releases the GIL around it. */
+   bg_attempt through ctypes, under the one attempt contract of
+   anneal._kernel; anneal._attempt_py, its Python twin under the same
+   contract, is the reference it follows step for step.  The generator is
+   CPython's MT19937, seeded and drawn as random.Random(seed) seeds and
+   draws for an int seed, so the kernel makes every draw the twin makes,
+   returns the same best partial and walks the same nodes.  All state but
+   a table set once, on load, lives in the call: ctypes releases the GIL
+   around it. */
 
 #include <math.h>
 #include <stdint.h>
@@ -210,24 +211,25 @@ static int complete(search_state *s, uint8_t *avail, uint32_t *rest, int length,
     }
 }
 
-/* One hunt attempt.  Anneal a fresh n-bit state from the seed (seed_words
-   32-bit words of little-endian bytes, as mt_seed takes them) towards a
-   code of length symbols, stopping early at a partial of stop_len; write
-   the best partial to out (length bytes) and return its length, or -1 if
-   memory runs out.  With budget >= 0, then cut the best partial back to
-   handoff symbols unless it is a code, and complete it under budget nodes
-   (0: no budget): done[0] gets the node count and done[1] the outcome, 1
-   with the code in out, 0 out of budget, or -1 with no code below. */
-int bg_attempt(int n, const uint8_t *seed, int seed_words, int length, int stop_len,
-               int handoff, long long budget, double temperature, double cooling, int steps,
-               double floor, int max_cut, uint8_t *out, long long *done) {
+/* One hunt attempt, as anneal._attempt_py makes it.  Anneal a fresh n-bit
+   state from the seed (seed_words 32-bit words of little-endian bytes, as
+   mt_seed takes them) towards a code of length symbols, stopping early at a
+   partial of handoff symbols (of length for a handoff of 0); write the best
+   partial to out (length bytes) and return its length, or -1 if memory runs
+   out.  Then cut the best partial back to handoff symbols unless it is a
+   code, and complete it under budget nodes (0: no budget): done[0] gets the
+   node count and done[1] the outcome, 1 with the code in out, 0 out of
+   budget, or -1 with no code below. */
+int bg_attempt(int n, const uint8_t *seed, int seed_words, int length, int handoff,
+               long long budget, double temperature, double cooling, int steps, double floor,
+               int max_cut, uint8_t *out, long long *done) {
     size_t words = (size_t)1 << n;
     uint32_t *rest = calloc((size_t)length * sizeof *rest + 2 * words + 2 * (size_t)length
                             + (size_t)max_cut, 1);
     uint8_t *avail, *suffix;
     search_state s = {n, 0, 0, 0, NULL, NULL, NULL};
     mt_state r;
-    int best_len, cur_len, keep, cut, m;
+    int best_len, cur_len, keep, cut, m, stop_len = handoff ? handoff : length;
     if (!rest) return -1;
     s.visited = (uint8_t *)(rest + length);
     avail = s.visited + words;
@@ -261,17 +263,15 @@ int bg_attempt(int n, const uint8_t *seed, int seed_words, int length, int stop_
         }
         temperature *= cooling;
     }
-    if (budget >= 0) {
-        /* the state at the best partial's first cut symbols: keep what it
-           shares with the best partial and push the rest */
-        cut = best_len == length || handoff > best_len ? best_len : handoff;
-        for (keep = 0; keep < s.len && keep < cut && s.seq[keep] == out[keep]; keep++)
-            ;
-        truncate_to(&s, keep);
-        while (s.len < cut) push(&s, out[s.len]);
-        done[1] = complete(&s, avail, rest, length, budget, &done[0]);
-        if (done[1] > 0) memcpy(out, s.seq, (size_t)length);
-    }
+    /* the state at the best partial's first cut symbols: keep what it shares
+       with the best partial and push the rest */
+    cut = best_len == length || handoff > best_len ? best_len : handoff;
+    for (keep = 0; keep < s.len && keep < cut && s.seq[keep] == out[keep]; keep++)
+        ;
+    truncate_to(&s, keep);
+    while (s.len < cut) push(&s, out[s.len]);
+    done[1] = complete(&s, avail, rest, length, budget, &done[0]);
+    if (done[1] > 0) memcpy(out, s.seq, (size_t)length);
     free(rest);
     return best_len;
 }

@@ -4,10 +4,11 @@ Simulated annealing grows long Beckett-consistent partial sequences
 (energy is minus the length; a move cuts a random suffix and regrows
 randomly until stuck).  Promising prefixes seed a deterministic
 backtracking completion, which starts from the annealer's own state cut
-back to the prefix, with no replay of it.  A whole hunt attempt (the
-annealing, the cut and the degree-pruned completion) runs in a small C
-kernel, ``_anneal.c``, built on first use, or in Python where it cannot be
-built; both make the same draws and walk the same nodes.
+back to the prefix, with no replay of it.  ``hunt`` and ``anneal_partial``
+call a whole attempt (the annealing, the cut and the degree-pruned
+completion) through ``_kernel()``: a small C kernel, ``_anneal.c``, built
+on first use, or its Python twin ``_attempt_py`` where it cannot be built.
+Both take the same arguments, make the same draws and walk the same nodes.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ class AnnealConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # the compiled kernel takes ints only
+            if name != "mode" and not isinstance(value, int) and (
+                    value is not None or name in ("n", "restarts", "rng_seed")):
+                raise ValueError(f"{name}={value!r} is not an int")
         if not 1 <= self.n <= MAX_BITS:
             raise ValueError(f"n={self.n} outside [1, {MAX_BITS}]")
         if self.mode not in ("cyclic", "open"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if not isinstance(self.rng_seed, int):
-            # random.Random would hash it; the compiled kernel takes ints only
-            raise ValueError(f"rng_seed={self.rng_seed!r} is not an int")
         if self.restarts < 1:
             raise ValueError(f"restarts={self.restarts} below 1")
         budget = self.completion_budget
@@ -94,43 +96,12 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
 
     Every intermediate state is a valid partial code: moves cut a random
     suffix and regrow greedily, so no penalty terms are needed.
-    Deterministic given ``config.rng_seed``.
+    Deterministic given ``config.rng_seed``.  The hunt attempt with the code
+    length for handoff and one node of budget: that node is the partial.
     """
-    return _anneal(config, config.rng_seed, config.complete_length).sequence()
-
-
-def _anneal(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
-    """The annealing of ``anneal_partial`` from ``seed``, in a fresh state
-    left at the partial it returns.  The schedule stops early once a
-    partial of ``stop_len`` symbols is seen; ``stop_len`` is at most the
-    code length, so no move starts from a complete code.
-
-    Runs in the compiled kernel (``_anneal.c``) with the completion off, or
-    in ``_anneal_py`` when the kernel cannot be built or loaded."""
-    kernel = _kernel()
-    if kernel is None:
-        return _anneal_py(config, seed, stop_len)
-    got, out, _, _ = kernel(config.n, seed, config.complete_length, stop_len, 0, -1)
-    return _replay(config.n, out[:got])
-
-
-def _attempt(config: AnnealConfig, seed: int) -> tuple[int, CompletionResult]:
-    """One ``hunt`` attempt: the annealed partial's length, and the completion
-    from the annealer's own state, cut back to the handoff unless it is a code
-    (the walk's first node then).  Runs in the compiled kernel, or as
-    ``_anneal_py``, ``truncate`` and ``_complete``."""
-    stop_len = config.handoff or config.complete_length  # 0 anneals the full schedule
-    kernel = _kernel()
-    if kernel is None:
-        state = _anneal_py(config, seed, stop_len)
-        got = len(state.seq)
-        if got < config.complete_length:
-            state.truncate(config.handoff)
-        return got, _complete(state, config.mode, config.completion_budget)
-    got, out, nodes, outcome = kernel(config.n, seed, config.complete_length, stop_len,
-                                      config.handoff, config.completion_budget or 0)
-    found = _replay(config.n, out).sequence() if outcome > 0 else None
-    return got, CompletionResult(found, outcome < 0, nodes)
+    length = config.complete_length
+    got, out, _, _ = _kernel()(config.n, config.rng_seed, length, length, 1)
+    return _replay(config.n, out[:got]).sequence()
 
 
 def _replay(n: int, symbols: bytes) -> SearchState:
@@ -140,15 +111,29 @@ def _replay(n: int, symbols: bytes) -> SearchState:
         raise RuntimeError("the attempt kernel returned an illegal sequence") from e
 
 
-def _anneal_py(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
-    """``_anneal`` in Python: the reference the kernel follows."""
-    n = config.n
+def _attempt_py(n: int, seed: int, length: int, handoff: int,
+                budget: int) -> tuple[int, bytes, int, int]:
+    """``_kernel()``'s attempt in Python, the reference the compiled one follows:
+    ``_anneal_py``, a cut back to ``handoff`` unless it is a code, ``_complete``."""
+    state = _anneal_py(n, seed, length, handoff or length)
+    got, best = len(state.seq), bytes(state.seq).ljust(length, b"\0")
+    if got < length:
+        state.truncate(handoff)
+    result = _complete(state, "cyclic" if length >> n else "open", budget or None)
+    if result.found is not None:
+        return got, bytes(result.found.symbols), result.nodes, 1
+    return got, best, result.nodes, -1 if result.proven_impossible else 0
+
+
+def _anneal_py(n: int, seed: int, length: int, stop_len: int) -> SearchState:
+    """Anneal from ``seed`` towards a code of ``length`` symbols, in a fresh state
+    left at the best partial, stopping early at a partial of ``stop_len`` <=
+    ``length`` symbols, so no move starts from a complete code."""
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    target = config.complete_length
 
     current = SearchState(n)
-    current.descend(rng, target, restricted_growth=False)
+    current.descend(rng, length, restricted_growth=False)
     best = list(current.seq)
 
     temperature = INITIAL_TEMPERATURE
@@ -164,7 +149,7 @@ def _anneal_py(config: AnnealConfig, seed: int, stop_len: int) -> SearchState:
             keep = max(0, cur_len - 1 - r)
             suffix = current.seq[keep:]
             current.truncate(keep)
-            current.descend(rng, target, restricted_growth=False)
+            current.descend(rng, length, restricted_growth=False)
             new_len = len(current.seq)
             if new_len < cur_len and rng.random() >= math.exp(
                 (new_len - cur_len) / temperature
@@ -189,31 +174,35 @@ _CC = ("cc", "-O2", "-shared", "-fPIC")  # no -ffast-math: exp must be libm's, a
 
 
 @functools.cache
-def _kernel() -> Optional[Callable[[int, int, int, int, int, int], tuple[int, bytes, int, int]]]:
-    """The compiled attempt as ``run(n, seed, length, stop_len, handoff, budget)``
-    for a code of ``length`` symbols: the best partial's length, the best partial
-    or the code found, and the completion's node count and outcome (1 found, 0
-    out of budget, -1 none below); a ``budget`` of 0 is no limit, -1 no completion.
-    None if the kernel cannot be built.  Tried once; ctypes is imported only here."""
+def _kernel() -> Callable[[int, int, int, int, int], tuple[int, bytes, int, int]]:
+    """The hunt attempt as ``run(n, seed, length, handoff, budget)`` for a code
+    of ``length`` symbols (cyclic if 2**n): anneal until a partial of ``handoff
+    or length`` symbols, cut the best back to ``handoff`` unless it is a code,
+    and complete it under ``budget`` nodes (0: no limit).  Returns the best
+    partial's length, the code found or else the best partial zero-padded to
+    ``length`` bytes, and the completion's node count and outcome (1 found, 0
+    out of budget, -1 none below).  The compiled ``bg_attempt``, or its twin
+    ``_attempt_py`` if that cannot be built.  Tried once; ctypes is imported
+    only here."""
     if os.name != "posix":
-        return None
+        return _attempt_py
     try:
         import ctypes
 
         library = ctypes.CDLL(_build())
     except (ImportError, OSError):
-        return None
+        return _attempt_py
     fn = library.bg_attempt
     c_int, c_double, c_longlong = ctypes.c_int, ctypes.c_double, ctypes.c_longlong
-    fn.argtypes = (c_int, ctypes.c_char_p, c_int, c_int, c_int, c_int, c_longlong, c_double,
-                   c_double, c_int, c_double, c_int, ctypes.c_char_p, ctypes.POINTER(c_longlong))
+    fn.argtypes = (c_int, ctypes.c_char_p, c_int, c_int, c_int, c_longlong, c_double, c_double,
+                   c_int, c_double, c_int, ctypes.c_char_p, ctypes.POINTER(c_longlong))
     fn.restype = c_int
 
-    def run(n, seed, length, stop_len, handoff, budget):
+    def run(n, seed, length, handoff, budget):
         # random.Random(seed) keys its generator by the 32-bit words of abs(seed)
         words = max(abs(seed).bit_length() + 31 >> 5, 1)
         out, done = ctypes.create_string_buffer(length), (c_longlong * 2)()
-        got = fn(n, abs(seed).to_bytes(4 * words, "little"), words, length, stop_len, handoff,
+        got = fn(n, abs(seed).to_bytes(4 * words, "little"), words, length, handoff,
                  min(budget, 1 << 62), INITIAL_TEMPERATURE, COOLING_FACTOR,
                  STEPS_PER_TEMPERATURE, TEMPERATURE_FLOOR, MAX_BACKTRACK_CUT, out, done)
         if got < 0:
@@ -232,7 +221,8 @@ def _build() -> str:
 
     with open(_KERNEL_SOURCE, "rb") as f:
         crc = zlib.crc32(f.read() + " ".join(_CC).encode())
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+    cache = os.environ.get("XDG_CACHE_HOME", "")  # a relative one is invalid: ignored
+    cache = os.path.join(cache if os.path.isabs(cache) else os.path.expanduser("~/.cache"),
                          "beckettgray")
     os.makedirs(cache, mode=0o700, exist_ok=True)
     st = os.stat(cache)
@@ -297,18 +287,20 @@ def _complete(state: SearchState, mode: str, budget: Optional[int]) -> Completio
 
 def hunt(config: AnnealConfig) -> HuntResult:
     """Anneal, truncate to the handoff length, complete by backtracking: one
-    ``_attempt`` per restart until one finds a code.  Attempt ``k`` anneals from
-    the seed ``config.rng_seed * 1_000_003 + k``, recorded if it wins.
+    ``_kernel()`` attempt per restart until one finds a code.  Attempt ``k``
+    anneals from the seed ``config.rng_seed * 1_000_003 + k``, recorded if it
+    wins.
     """
     start = time.monotonic()
-    best_partial = 0
-    base = config.rng_seed
+    run, n, base, best_partial = _kernel(), config.n, config.rng_seed, 0
+    args = config.complete_length, config.handoff, config.completion_budget or 0
     for attempt in range(config.restarts):
         seed = base * 1_000_003 + attempt
-        got, completion = _attempt(config, seed)
+        got, out, _, outcome = run(n, seed, *args)
         best_partial = max(best_partial, got)
-        if (found := completion.found) is not None:
+        if outcome > 0:
             break
+    found = _replay(n, out).sequence() if outcome > 0 else None
     return HuntResult(
         found=found,
         best_partial_length=best_partial if found is None else config.complete_length,

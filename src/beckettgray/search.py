@@ -106,6 +106,8 @@ class SearchConfig:
     emit: str = "canonical-codes"  # count-only | canonical-codes
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or not isinstance(self.node_limit, (int, type(None))):
+            raise ValueError(f"n={self.n!r} or node_limit={self.node_limit!r} is not an int")
         if not 1 <= self.n <= MAX_BITS:
             raise ValueError(f"n={self.n} outside [1, {MAX_BITS}]")
         if self.node_limit is not None and self.node_limit < 0:

@@ -10,8 +10,6 @@ import pytest
 from beckettgray import anneal
 from beckettgray.anneal import (
     AnnealConfig,
-    _anneal,
-    _attempt,
     anneal_partial,
     complete_backtrack,
     hunt,
@@ -34,6 +32,14 @@ def unpruned_completion(prefix, mode):
     return None, True
 
 
+def annealed(config, seed):
+    """The partial a hunt attempt anneals from ``seed``: the attempt with its
+    completion stopped after the first node, on the path ``_kernel()`` picks."""
+    got, out, _, _ = anneal._kernel()(config.n, seed, config.complete_length,
+                                      config.handoff, 1)
+    return TransitionSequence(config.n, out[:got])
+
+
 def replayed_hunt(config):
     """``hunt`` with a replayed completion: each attempt anneals, then
     completes a ``TransitionSequence`` of its handoff prefix, which
@@ -41,7 +47,7 @@ def replayed_hunt(config):
     best = 0
     for attempt in range(config.restarts):
         seed = config.rng_seed * 1_000_003 + attempt
-        partial = _anneal(config, seed, config.handoff or config.complete_length).sequence()
+        partial = annealed(config, seed)
         best = max(best, len(partial))
         if len(partial) == config.complete_length:
             found = partial
@@ -111,7 +117,7 @@ class TestAnnealPartial:
 
     def test_outputs_are_always_beckett_consistent(self):
         for seed in range(20):
-            partial = _anneal(AnnealConfig(n=4, mode="open"), seed, 12).sequence()
+            partial = annealed(AnnealConfig(n=4, mode="open", seed_handoff_length=12), seed)
             kind = classify_beckett(partial).kind
             assert kind in (BeckettKind.OPEN, BeckettKind.CYCLIC, BeckettKind.INCOMPLETE)
 
@@ -127,15 +133,16 @@ class TestAnnealPartial:
         assert wins >= 24
 
     def test_deterministic(self):
-        cfg = AnnealConfig(n=5, mode="cyclic")
-        assert _anneal(cfg, 99, 24).sequence() == _anneal(cfg, 99, 24).sequence()
+        cfg = AnnealConfig(n=5, mode="cyclic", seed_handoff_length=24)
+        assert annealed(cfg, 99) == annealed(cfg, 99)
 
     def test_state_is_left_at_the_returned_partial(self):
         # no 3-bit cyclic code exists, so the schedule runs to its floor;
         # with seed 1 it ends after accepting a move away from its best,
         # and the state must be rebuilt at that best (a recorded figure)
-        state = _anneal(AnnealConfig(n=3, mode="cyclic"), 1, 8)
         best = parse_symbols(3, "0102101")
+        assert anneal_partial(AnnealConfig(n=3, mode="cyclic", rng_seed=1)) == best
+        state = anneal._anneal_py(3, 1, 8, 8)
         assert _fields(state) == _fields(SearchState.from_prefix(3, best))
 
 
@@ -169,7 +176,7 @@ class TestCompleteBacktrack:
         config = AnnealConfig(n=n, mode=mode)
         handoff = config.handoff
         for attempt in itertools.count():
-            partial = _anneal(config, base * 1_000_003 + attempt, handoff).sequence()
+            partial = annealed(config, base * 1_000_003 + attempt)
             prefix = TransitionSequence(n, partial.symbols[:handoff])
             expected = unpruned_completion(prefix, mode)
             result = complete_backtrack(prefix, mode)
@@ -265,54 +272,54 @@ class TestHunt:
 
 @needs_cc
 class TestCompiledAnnealer:
-    """The kernel against the Python annealer and the Python attempt, and the
-    pinned streams on it."""
+    """The kernel against its Python twin, and the pinned streams on it."""
 
     @pytest.fixture(autouse=True)
     def compiled(self):
-        assert anneal._kernel() is not None
+        assert anneal._kernel() is not anneal._attempt_py
 
     @pytest.mark.parametrize("mode", ["cyclic", "open"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_python_annealer(self, n, mode):
-        config = AnnealConfig(n=n, mode=mode)
-        runs = [(config.handoff, seed) for seed in SEEDS]
-        runs += [(config.complete_length, seed) for seed in LONG_SEEDS]
-        if n <= 4:
-            # past the code length: the full schedule, with moves from complete codes
-            runs += [(config.complete_length + 1, seed) for seed in LONG_SEEDS]
-        for stop_len, seed in runs:
-            assert _fields(_anneal(config, seed, stop_len)) == _fields(
-                anneal._anneal_py(config, seed, stop_len)), (stop_len, seed)
+        # anneal_partial's one-node completion hands back the annealer's own
+        # partial: the kernel's is the one the Python annealer ends at
+        for seed in LONG_SEEDS:
+            config = AnnealConfig(n=n, mode=mode, rng_seed=seed)
+            length = config.complete_length
+            assert anneal_partial(config) == anneal._anneal_py(n, seed, length, length).sequence()
 
     @pytest.mark.parametrize("mode", ["cyclic", "open"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_python_attempt(self, n, mode, monkeypatch):
-        # the annealed length, the code, and each completion's outcome and node
-        # count; budgets 1 to 3 stop many completions, the default handoff's
-        # and the full code's take at most 404 nodes, but from a handoff of 0
-        # or 1 an unlimited walk runs for minutes in Python from n = 6 on
-        length = AnnealConfig(n=n, mode=mode).complete_length
-        runs = []
-        for handoff, seeds in ((None, SEEDS), (0, LONG_SEEDS), (1, SEEDS), (length, LONG_SEEDS)):
-            budgets = (1, 2, 3, 50) if n > 5 and handoff in (0, 1) else (1, 2, 3, 50, None)
-            runs += [(AnnealConfig(n=n, mode=mode, seed_handoff_length=handoff,
-                                   completion_budget=budget), seed)
-                     for budget in budgets for seed in seeds]
-        compiled = [_attempt(config, seed) for config, seed in runs]
-        # the Python path, with each partial annealed once for all the budgets
-        monkeypatch.setattr(anneal, "_kernel", lambda: None)
+        # the whole (annealed length, code or best partial, nodes, outcome)
+        # of each call on both paths; budgets 1 to 3 stop many completions (1
+        # at the code-length handoff is anneal_partial's call), the default
+        # handoff's and the full code's take at most 404 nodes, but from a
+        # handoff of 0 or 1 an unlimited walk runs for minutes in Python from
+        # n = 6 on
+        config = AnnealConfig(n=n, mode=mode)
+        length = config.complete_length
+        calls = [(seed, handoff, budget)
+                 for handoff, seeds in ((config.handoff, SEEDS), (0, LONG_SEEDS), (1, SEEDS),
+                                        (length, LONG_SEEDS))
+                 for budget in ((1, 2, 3, 50) if n > 5 and handoff in (0, 1) else (1, 2, 3, 50, 0))
+                 for seed in seeds]
+        compiled = [anneal._kernel()(n, seed, length, handoff, budget)
+                    for seed, handoff, budget in calls]
+        # the twin, with each partial annealed once for all the budgets
         partials = {}
         anneal_py = anneal._anneal_py
 
-        def annealed(config, seed, stop_len):
+        def cached_anneal_py(n, seed, length, stop_len):
             if (seed, stop_len) not in partials:
-                partials[seed, stop_len] = anneal_py(config, seed, stop_len).seq
+                partials[seed, stop_len] = anneal_py(n, seed, length, stop_len).seq
             return SearchState.from_prefix(n, partials[seed, stop_len])
 
-        monkeypatch.setattr(anneal, "_anneal_py", annealed)
-        for (config, seed), got in zip(runs, compiled):
-            assert got == _attempt(config, seed), (config, seed)
+        monkeypatch.setattr(anneal, "_anneal_py", cached_anneal_py)
+        for (seed, handoff, budget), got in zip(calls, compiled):
+            assert anneal._attempt_py(n, seed, length, handoff, budget) == got, (
+                seed, handoff, budget)
+        assert n < 3 or any(outcome < 1 for *_, outcome in compiled)  # best partials too
 
     test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
     test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
@@ -322,11 +329,11 @@ class TestCompiledAnnealer:
 
 
 class TestPythonAnnealer:
-    """The pinned streams on the Python annealer, the kernel's reference."""
+    """The pinned streams on the Python twin, the kernel's reference."""
 
     @pytest.fixture(autouse=True)
     def python(self, monkeypatch):
-        monkeypatch.setattr(anneal, "_kernel", lambda: None)
+        monkeypatch.setattr(anneal, "_kernel", lambda: anneal._attempt_py)
 
     test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
     test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
@@ -338,9 +345,9 @@ class TestPythonAnnealer:
 def test_illegal_kernel_partial_is_an_error(monkeypatch):
     # 0 then 0 dequeues back to word 0 before every word is visited: as the
     # best partial (no completion) and as the code an attempt found
-    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, seed, length, stop_len, handoff,
-                        budget: (2, bytes(length), 1, 1))
-    for call in (lambda: _anneal(AnnealConfig(n=3), 0, 5), lambda: hunt(AnnealConfig(n=3))):
+    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, seed, length, handoff, budget: (
+        2, bytes(length), 1, 1))
+    for call in (lambda: anneal_partial(AnnealConfig(n=3)), lambda: hunt(AnnealConfig(n=3))):
         with pytest.raises(RuntimeError, match="illegal sequence") as raised:
             call()
         assert isinstance(raised.value.__cause__, ValueError)
@@ -363,10 +370,24 @@ def test_hunt_falls_back_when_the_kernel_cannot_be_built(broken, fresh_kernel, m
     for _ in range(2):
         result = hunt(AnnealConfig(n=5, mode="cyclic", rng_seed=11))
         assert (str(result.found), result.attempts) == ("41203414202304241302413102310131", 14)
-    assert anneal._kernel() is None
+    assert anneal._kernel() is anneal._attempt_py
     assert builds == [1]
     if broken != "unwritable-cache":
         assert not any((tmp_path / "cache" / "beckettgray").iterdir())  # no half-built library
+
+
+def test_relative_cache_home_is_ignored(monkeypatch, tmp_path):
+    # the XDG spec makes a relative XDG_CACHE_HOME invalid: ~/.cache is used
+    # instead, not a directory below wherever the process runs
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.setenv("PATH", str(tmp_path))  # no cc: the directory is made, nothing built
+    with pytest.raises(OSError):
+        anneal._build()
+    assert (tmp_path / "home" / ".cache" / "beckettgray").is_dir()
+    assert list((tmp_path / "cwd").iterdir()) == []
 
 
 def test_import_loads_no_kernel_machinery():

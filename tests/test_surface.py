@@ -82,9 +82,19 @@ def test_config_fields():
     lambda: AnnealConfig(n=4, restarts=0),
     lambda: AnnealConfig(n=4, restarts=-1),
     lambda: AnnealConfig(n=4, completion_budget=0),
+    # counts that are not ints: a float node limit is never met exactly, and
+    # the compiled hunt takes ints only
+    lambda: SearchConfig(3.0),
+    lambda: SearchConfig(5, node_limit=100.5),
+    lambda: AnnealConfig(n=5.0),
+    lambda: AnnealConfig(n=5, restarts=2.0),
+    lambda: AnnealConfig(n=5, completion_budget=2.5),
+    lambda: AnnealConfig(n=5, seed_handoff_length=20.0),
 ], ids=["anneal-mode", "complete-mode", "search-mode", "search-emit", "search-prefix-n",
         "merge-n", "search-n0", "search-n40", "search-node-limit-1", "search-time-limit-1",
-        "search-time-limit-nan", "anneal-restarts0", "anneal-restarts-1", "anneal-budget0"])
+        "search-time-limit-nan", "anneal-restarts0", "anneal-restarts-1", "anneal-budget0",
+        "search-n-float", "search-node-limit-float", "anneal-n-float", "anneal-restarts-float",
+        "anneal-budget-float", "anneal-handoff-float"])
 def test_bad_input_is_rejected(make):
     with pytest.raises(ValueError):
         make()
