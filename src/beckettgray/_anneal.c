@@ -1,15 +1,15 @@
-/* One attempt of beckettgray.anneal.hunt, compiled: the annealing, the cut
-   back to the handoff and the degree-pruned completion.
+/* A batch of beckettgray.anneal.hunt's attempts, compiled: for each seed,
+   the annealing, the cut back to the handoff and the degree-pruned
+   completion, until one attempt finds a code.
 
    anneal.py builds this file with the system cc on first use and calls
-   bg_attempt through ctypes, under the one attempt contract of
-   anneal._kernel; anneal._attempt_py, its Python twin under the same
-   contract, is the reference it follows step for step.  The generator is
-   CPython's MT19937, seeded and drawn as random.Random(seed) seeds and
-   draws for an int seed, so the kernel makes every draw the twin makes,
-   returns the same best partial and walks the same nodes.  All state but
-   a table set once, on load, lives in the call: ctypes releases the GIL
-   around it. */
+   bg_hunt through ctypes, under the one batch contract of anneal._kernel;
+   anneal._hunt_py, its Python twin under the same contract, is the
+   reference it follows step for step.  The generator is CPython's MT19937,
+   seeded and drawn as random.Random(seed) seeds and draws for an int seed,
+   so the kernel makes every draw the twin makes, returns the same best
+   partials and walks the same nodes.  All state but a table set once, on
+   load, lives in the call: ctypes releases the GIL around it. */
 
 #include <math.h>
 #include <stdint.h>
@@ -32,15 +32,13 @@ __attribute__((constructor)) static void mt_start_init(void) {
 }
 
 /* random.Random(seed): init_by_array keyed by the 32-bit words of abs(seed),
-   given as its little-endian bytes, len words of them */
-static void mt_seed(mt_state *r, const uint8_t *key, size_t len) {
+   len of them, least significant first */
+static void mt_seed(mt_state *r, const uint32_t *key, size_t len) {
     uint32_t *mt = r->mt;
     size_t i = 1, j = 0, k;
     memcpy(mt, mt_start, sizeof mt_start);
     for (k = MT_N > len ? MT_N : len; k; k--) {
-        const uint8_t *w = key + 4 * j;
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
-                + (w[0] | w[1] << 8 | w[2] << 16 | (uint32_t)w[3] << 24) + (uint32_t)j;
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
         if (++i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
         if (++j >= len) j = 0;
     }
@@ -50,6 +48,20 @@ static void mt_seed(mt_state *r, const uint8_t *key, size_t len) {
     }
     mt[0] = 0x80000000U;
     r->index = MT_N;
+}
+
+/* the seed one above: its sign (negative) and magnitude (len words, no
+   leading zero word but a lone one, room for one more) step as an int does */
+static void next_seed(int *negative, uint32_t *key, size_t *len) {
+    size_t i = 0;
+    if (*negative) {  /* the magnitude shrinks; at 0 the sign is + */
+        while (!key[i]--) i++;
+        while (*len > 1 && !key[*len - 1]) --*len;
+        *negative = *len > 1 || key[0];
+    } else {
+        while (i < *len && !++key[i]) i++;
+        if (i == *len) key[(*len)++] = 1;
+    }
 }
 
 static uint32_t mt_next(mt_state *r) {
@@ -211,67 +223,82 @@ static int complete(search_state *s, uint8_t *avail, uint32_t *rest, int length,
     }
 }
 
-/* One hunt attempt, as anneal._attempt_py makes it.  Anneal a fresh n-bit
-   state from the seed (seed_words 32-bit words of little-endian bytes, as
-   mt_seed takes them) towards a code of length symbols, stopping early at a
-   partial of handoff symbols (of length for a handoff of 0); write the best
-   partial to out (length bytes) and return its length, or -1 if memory runs
-   out.  Then cut the best partial back to handoff symbols unless it is a
-   code, and complete it under budget nodes (0: no budget): done[0] gets the
-   node count and done[1] the outcome, 1 with the code in out, 0 out of
-   budget, or -1 with no code below. */
-int bg_attempt(int n, const uint8_t *seed, int seed_words, int length, int handoff,
-               long long budget, double temperature, double cooling, int steps, double floor,
-               int max_cut, uint8_t *out, long long *done) {
-    size_t words = (size_t)1 << n;
-    uint32_t *rest = calloc((size_t)length * sizeof *rest + 2 * words + 2 * (size_t)length
-                            + (size_t)max_cut, 1);
+/* Up to count hunt attempts, as anneal._hunt_py makes them, from the seeds
+   first, first + 1, ...: first is negative or not, with the little-endian
+   bytes of its magnitude, seed_words 32-bit words of them.  Each attempt
+   anneals a fresh n-bit state from its seed towards a code of length
+   symbols, stopping early at a partial of handoff symbols (of length for a
+   handoff of 0), cuts the best partial back to handoff symbols unless it is
+   a code, and completes it under budget nodes (0: no budget).  The batch
+   stops after the first attempt that finds a code.  Returns the attempts
+   made, or -1 if memory runs out; out (length bytes) gets the code found,
+   or else the last attempt's best partial, zero-padded; done[0] gets the
+   longest best partial, done[1] the nodes summed and done[2] the last
+   outcome, 1 found, 0 out of budget or -1 no code below. */
+int bg_hunt(int n, int negative, const uint8_t *first, int seed_words, int count, int length,
+            int handoff, long long budget, double temperature, double cooling, int steps,
+            double floor, int max_cut, uint8_t *out, long long *done) {
+    size_t words = (size_t)1 << n, key_len = (size_t)seed_words;
+    uint32_t *rest = calloc((size_t)length * sizeof *rest + (key_len + 1) * sizeof *rest
+                            + 2 * words + 2 * (size_t)length + (size_t)max_cut, 1);
+    uint32_t *key;
     uint8_t *avail, *suffix;
     search_state s = {n, 0, 0, 0, NULL, NULL, NULL};
     mt_state r;
-    int best_len, cur_len, keep, cut, m, stop_len = handoff ? handoff : length;
+    long long nodes;
+    double t;
+    int made, best_len, cur_len, keep, cut, m, stop_len = handoff ? handoff : length;
     if (!rest) return -1;
-    s.visited = (uint8_t *)(rest + length);
+    key = rest + length;
+    s.visited = (uint8_t *)(key + key_len + 1);
     avail = s.visited + words;
     s.seq = avail + words;
     s.queue = s.seq + length;
     suffix = s.queue + length;
-    s.visited[0] = 1;
-    mt_seed(&r, seed, (size_t)seed_words);
-    descend(&s, &r, length);
-    memcpy(out, s.seq, best_len = s.len);
-    while (temperature > floor && best_len < stop_len) {
-        for (int i = 0; i < steps; i++) {
-            cur_len = s.len;
-            m = cur_len > 1 ? cur_len : 1;
-            m = m < max_cut ? m : max_cut;
-            keep = cur_len - 1 - mt_below(&r, m);
-            keep = keep > 0 ? keep : 0;
-            cut = cur_len - keep;
-            memcpy(suffix, s.seq + keep, cut);
-            truncate_to(&s, keep);
-            descend(&s, &r, length);
-            if (s.len < cur_len && mt_random(&r) >= exp((s.len - cur_len) / temperature)) {
-                /* rejected: restore the suffix that was cut */
+    for (size_t i = 0; i < 4 * key_len; i++) key[i / 4] |= (uint32_t)first[i] << 8 * (i % 4);
+    done[0] = done[1] = 0;
+    for (made = 1;; made++) {
+        truncate_to(&s, 0);
+        s.visited[0] = 1;
+        mt_seed(&r, key, key_len);
+        descend(&s, &r, length);
+        memcpy(out, s.seq, best_len = s.len);
+        for (t = temperature; t > floor && best_len < stop_len; t *= cooling)
+            for (int i = 0; i < steps; i++) {
+                cur_len = s.len;
+                m = cur_len > 1 ? cur_len : 1;
+                m = m < max_cut ? m : max_cut;
+                keep = cur_len - 1 - mt_below(&r, m);
+                keep = keep > 0 ? keep : 0;
+                cut = cur_len - keep;
+                memcpy(suffix, s.seq + keep, cut);
                 truncate_to(&s, keep);
-                for (int j = 0; j < cut; j++) push(&s, suffix[j]);
+                descend(&s, &r, length);
+                if (s.len < cur_len && mt_random(&r) >= exp((s.len - cur_len) / t)) {
+                    /* rejected: restore the suffix that was cut */
+                    truncate_to(&s, keep);
+                    for (int j = 0; j < cut; j++) push(&s, suffix[j]);
+                }
+                if (s.len > best_len) {
+                    memcpy(out, s.seq, best_len = s.len);
+                    if (best_len >= stop_len) break;
+                }
             }
-            if (s.len > best_len) {
-                memcpy(out, s.seq, best_len = s.len);
-                if (best_len >= stop_len) break;
-            }
-        }
-        temperature *= cooling;
+        /* the state at the best partial's first cut symbols: keep what it
+           shares with the best partial and push the rest */
+        cut = best_len == length || handoff > best_len ? best_len : handoff;
+        for (keep = 0; keep < s.len && keep < cut && s.seq[keep] == out[keep]; keep++)
+            ;
+        truncate_to(&s, keep);
+        while (s.len < cut) push(&s, out[s.len]);
+        done[0] = best_len > done[0] ? best_len : done[0];
+        done[2] = complete(&s, avail, rest, length, budget, &nodes);
+        done[1] += nodes;
+        if (done[2] > 0 || made >= count) break;
+        next_seed(&negative, key, &key_len);
     }
-    /* the state at the best partial's first cut symbols: keep what it shares
-       with the best partial and push the rest */
-    cut = best_len == length || handoff > best_len ? best_len : handoff;
-    for (keep = 0; keep < s.len && keep < cut && s.seq[keep] == out[keep]; keep++)
-        ;
-    truncate_to(&s, keep);
-    while (s.len < cut) push(&s, out[s.len]);
-    done[1] = complete(&s, avail, rest, length, budget, &done[0]);
-    if (done[1] > 0) memcpy(out, s.seq, (size_t)length);
+    if (done[2] > 0) memcpy(out, s.seq, (size_t)length);
+    else memset(out + best_len, 0, (size_t)(length - best_len));
     free(rest);
-    return best_len;
+    return made;
 }

@@ -5,10 +5,11 @@ Simulated annealing grows long Beckett-consistent partial sequences
 randomly until stuck).  Promising prefixes seed a deterministic
 backtracking completion, which starts from the annealer's own state cut
 back to the prefix, with no replay of it.  ``hunt`` and ``anneal_partial``
-call a whole attempt (the annealing, the cut and the degree-pruned
-completion) through ``_kernel()``: a small C kernel, ``_anneal.c``, built
-on first use, or its Python twin ``_attempt_py`` where it cannot be built.
-Both take the same arguments, make the same draws and walk the same nodes.
+call a batch of whole attempts (each the annealing, the cut and the
+degree-pruned completion) through ``_kernel()``: a small C kernel,
+``_anneal.c``, built on first use, or its Python twin ``_hunt_py`` where it
+cannot be built.  Both take the same arguments, make the same draws and walk
+the same nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ COOLING_FACTOR = 0.995
 STEPS_PER_TEMPERATURE = 200
 TEMPERATURE_FLOOR = 0.05
 MAX_BACKTRACK_CUT = 12  # longest suffix one move cuts
+_CHUNK = 4096  # attempts per kernel call: about 0.15 s at n = 7, so Ctrl-C stays prompt
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def anneal_partial(config: AnnealConfig) -> TransitionSequence:
     length for handoff and one node of budget: that node is the partial.
     """
     length = config.complete_length
-    got, out, _, _ = _kernel()(config.n, config.rng_seed, length, length, 1)
+    _, got, out, _, _ = _kernel()(config.n, config.rng_seed, 1, length, length, 1)
     return _replay(config.n, out[:got]).sequence()
 
 
@@ -108,21 +110,25 @@ def _replay(n: int, symbols: bytes) -> SearchState:
     try:
         return SearchState.from_prefix(n, symbols)
     except ValueError as e:
-        raise RuntimeError("the attempt kernel returned an illegal sequence") from e
+        raise RuntimeError("the hunt kernel returned an illegal sequence") from e
 
 
-def _attempt_py(n: int, seed: int, length: int, handoff: int,
-                budget: int) -> tuple[int, bytes, int, int]:
-    """``_kernel()``'s attempt in Python, the reference the compiled one follows:
-    ``_anneal_py``, a cut back to ``handoff`` unless it is a code, ``_complete``."""
-    state = _anneal_py(n, seed, length, handoff or length)
-    got, best = len(state.seq), bytes(state.seq).ljust(length, b"\0")
-    if got < length:
-        state.truncate(handoff)
-    result = _complete(state, "cyclic" if length >> n else "open", budget or None)
-    if result.found is not None:
-        return got, bytes(result.found.symbols), result.nodes, 1
-    return got, best, result.nodes, -1 if result.proven_impossible else 0
+def _hunt_py(n: int, first: int, count: int, length: int, handoff: int,
+             budget: int) -> tuple[int, int, bytes, int, int]:
+    """``_kernel()``'s batch in Python, the reference the compiled one follows: per
+    seed, ``_anneal_py``, a cut back to ``handoff`` unless it is a code, ``_complete``."""
+    longest = nodes = 0
+    for seed in range(first, first + count):
+        state = _anneal_py(n, seed, length, handoff or length)
+        got, best = len(state.seq), bytes(state.seq).ljust(length, b"\0")
+        longest = max(longest, got)
+        if got < length:
+            state.truncate(handoff)
+        result = _complete(state, "cyclic" if length >> n else "open", budget or None)
+        nodes += result.nodes
+        if result.found is not None:
+            return seed - first + 1, longest, bytes(result.found.symbols), nodes, 1
+    return seed - first + 1, longest, best, nodes, -1 if result.proven_impossible else 0
 
 
 def _anneal_py(n: int, seed: int, length: int, stop_len: int) -> SearchState:
@@ -174,40 +180,42 @@ _CC = ("cc", "-O2", "-shared", "-fPIC")  # no -ffast-math: exp must be libm's, a
 
 
 @functools.cache
-def _kernel() -> Callable[[int, int, int, int, int], tuple[int, bytes, int, int]]:
-    """The hunt attempt as ``run(n, seed, length, handoff, budget)`` for a code
-    of ``length`` symbols (cyclic if 2**n): anneal until a partial of ``handoff
-    or length`` symbols, cut the best back to ``handoff`` unless it is a code,
-    and complete it under ``budget`` nodes (0: no limit).  Returns the best
-    partial's length, the code found or else the best partial zero-padded to
-    ``length`` bytes, and the completion's node count and outcome (1 found, 0
-    out of budget, -1 none below).  The compiled ``bg_attempt``, or its twin
-    ``_attempt_py`` if that cannot be built.  Tried once; ctypes is imported
-    only here."""
+def _kernel() -> Callable[[int, int, int, int, int, int], tuple[int, int, bytes, int, int]]:
+    """Hunt attempts as ``run(n, first, count, length, handoff, budget)`` for a
+    code of ``length`` symbols (cyclic if 2**n), from the seeds ``first, first +
+    1, ...``, until ``count`` >= 1 are made or one finds a code.  Each anneals
+    until a partial of ``handoff or length`` symbols, cuts the best back to
+    ``handoff`` unless it is a code, and completes it under ``budget`` nodes (0:
+    no limit).  Returns the attempts made, the longest best partial, the code
+    found or else the last best partial zero-padded to ``length`` bytes, the
+    nodes summed and the last outcome (1 found, 0 out of budget, -1 none
+    below).  The compiled ``bg_hunt``, or its twin ``_hunt_py`` if that cannot
+    be built.  Tried once; ctypes is imported only here."""
     if os.name != "posix":
-        return _attempt_py
+        return _hunt_py
     try:
         import ctypes
 
         library = ctypes.CDLL(_build())
     except (ImportError, OSError):
-        return _attempt_py
-    fn = library.bg_attempt
+        return _hunt_py
+    fn = library.bg_hunt
     c_int, c_double, c_longlong = ctypes.c_int, ctypes.c_double, ctypes.c_longlong
-    fn.argtypes = (c_int, ctypes.c_char_p, c_int, c_int, c_int, c_longlong, c_double, c_double,
-                   c_int, c_double, c_int, ctypes.c_char_p, ctypes.POINTER(c_longlong))
+    fn.argtypes = (c_int, c_int, ctypes.c_char_p, c_int, c_int, c_int, c_int, c_longlong,
+                   c_double, c_double, c_int, c_double, c_int, ctypes.c_char_p,
+                   ctypes.POINTER(c_longlong))
     fn.restype = c_int
 
-    def run(n, seed, length, handoff, budget):
+    def run(n, first, count, length, handoff, budget):
         # random.Random(seed) keys its generator by the 32-bit words of abs(seed)
-        words = max(abs(seed).bit_length() + 31 >> 5, 1)
-        out, done = ctypes.create_string_buffer(length), (c_longlong * 2)()
-        got = fn(n, abs(seed).to_bytes(4 * words, "little"), words, length, handoff,
-                 min(budget, 1 << 62), INITIAL_TEMPERATURE, COOLING_FACTOR,
-                 STEPS_PER_TEMPERATURE, TEMPERATURE_FLOOR, MAX_BACKTRACK_CUT, out, done)
-        if got < 0:
-            raise MemoryError("the attempt kernel could not allocate its state")
-        return got, out.raw, done[0], done[1]
+        words = max(abs(first).bit_length() + 31 >> 5, 1)
+        out, done = ctypes.create_string_buffer(length), (c_longlong * 3)()
+        made = fn(n, first < 0, abs(first).to_bytes(4 * words, "little"), words, count, length,
+                  handoff, min(budget, 1 << 62), INITIAL_TEMPERATURE, COOLING_FACTOR,
+                  STEPS_PER_TEMPERATURE, TEMPERATURE_FLOOR, MAX_BACKTRACK_CUT, out, done)
+        if made < 0:
+            raise MemoryError("the hunt kernel could not allocate its state")
+        return made, done[0], out.raw, done[1], done[2]
 
     return run
 
@@ -287,16 +295,16 @@ def _complete(state: SearchState, mode: str, budget: Optional[int]) -> Completio
 
 def hunt(config: AnnealConfig) -> HuntResult:
     """Anneal, truncate to the handoff length, complete by backtracking: one
-    ``_kernel()`` attempt per restart until one finds a code.  Attempt ``k``
-    anneals from the seed ``config.rng_seed * 1_000_003 + k``, recorded if it
-    wins.
+    attempt per restart until one finds a code, run by ``_kernel()`` in
+    batches of at most ``_CHUNK``.  Attempt ``k`` anneals from the seed
+    ``config.rng_seed * 1_000_003 + k``, recorded if it wins.
     """
     start = time.monotonic()
-    run, n, base, best_partial = _kernel(), config.n, config.rng_seed, 0
+    run, n, first, best_partial = _kernel(), config.n, config.rng_seed * 1_000_003, 0
     args = config.complete_length, config.handoff, config.completion_budget or 0
-    for attempt in range(config.restarts):
-        seed = base * 1_000_003 + attempt
-        got, out, _, outcome = run(n, seed, *args)
+    for done in range(0, config.restarts, _CHUNK):
+        made, got, out, _, outcome = run(n, first + done, min(_CHUNK, config.restarts - done),
+                                         *args)
         best_partial = max(best_partial, got)
         if outcome > 0:
             break
@@ -304,8 +312,8 @@ def hunt(config: AnnealConfig) -> HuntResult:
     return HuntResult(
         found=found,
         best_partial_length=best_partial if found is None else config.complete_length,
-        attempts=attempt + 1,
+        attempts=done + made,
         elapsed=time.monotonic() - start,
-        rng_seed=base,
-        winning_seed=None if found is None else seed,
+        rng_seed=config.rng_seed,
+        winning_seed=None if found is None else first + done + made - 1,
     )

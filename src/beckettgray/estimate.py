@@ -38,6 +38,8 @@ def estimate_tree_size(
     config: SearchConfig, samples: int, rng_seed: int
 ) -> EstimateReport:
     """Estimate the pruned search-tree size from random root-to-leaf probes."""
+    if not all(isinstance(value, int) for value in (samples, rng_seed)):
+        raise ValueError(f"samples={samples!r} and rng_seed={rng_seed!r} must be ints")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(rng_seed)

@@ -35,8 +35,8 @@ def unpruned_completion(prefix, mode):
 def annealed(config, seed):
     """The partial a hunt attempt anneals from ``seed``: the attempt with its
     completion stopped after the first node, on the path ``_kernel()`` picks."""
-    got, out, _, _ = anneal._kernel()(config.n, seed, config.complete_length,
-                                      config.handoff, 1)
+    _, got, out, _, _ = anneal._kernel()(config.n, seed, 1, config.complete_length,
+                                         config.handoff, 1)
     return TransitionSequence(config.n, out[:got])
 
 
@@ -276,7 +276,7 @@ class TestCompiledAnnealer:
 
     @pytest.fixture(autouse=True)
     def compiled(self):
-        assert anneal._kernel() is not anneal._attempt_py
+        assert anneal._kernel() is not anneal._hunt_py
 
     @pytest.mark.parametrize("mode", ["cyclic", "open"])
     @pytest.mark.parametrize("n", range(1, 8))
@@ -291,21 +291,23 @@ class TestCompiledAnnealer:
     @pytest.mark.parametrize("mode", ["cyclic", "open"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_python_attempt(self, n, mode, monkeypatch):
-        # the whole (annealed length, code or best partial, nodes, outcome)
-        # of each call on both paths; budgets 1 to 3 stop many completions (1
-        # at the code-length handoff is anneal_partial's call), the default
+        # the whole (attempts, longest partial, code or last best partial,
+        # nodes, outcome) of each call on both paths, for batches of 1 and 7
+        # attempts; budgets 1 to 3 stop many completions (1 at the
+        # code-length handoff is anneal_partial's call), the default
         # handoff's and the full code's take at most 404 nodes, but from a
         # handoff of 0 or 1 an unlimited walk runs for minutes in Python from
         # n = 6 on
         config = AnnealConfig(n=n, mode=mode)
         length = config.complete_length
-        calls = [(seed, handoff, budget)
-                 for handoff, seeds in ((config.handoff, SEEDS), (0, LONG_SEEDS), (1, SEEDS),
-                                        (length, LONG_SEEDS))
+        calls = [(seed, count, handoff, budget)
+                 for handoff, seeds, counts in ((config.handoff, SEEDS, (1, 7)),
+                                                (0, LONG_SEEDS, (1,)), (1, SEEDS, (1, 7)),
+                                                (length, LONG_SEEDS, (1,)))
                  for budget in ((1, 2, 3, 50) if n > 5 and handoff in (0, 1) else (1, 2, 3, 50, 0))
-                 for seed in seeds]
-        compiled = [anneal._kernel()(n, seed, length, handoff, budget)
-                    for seed, handoff, budget in calls]
+                 for seed in seeds for count in counts]
+        compiled = [anneal._kernel()(n, seed, count, length, handoff, budget)
+                    for seed, count, handoff, budget in calls]
         # the twin, with each partial annealed once for all the budgets
         partials = {}
         anneal_py = anneal._anneal_py
@@ -316,10 +318,43 @@ class TestCompiledAnnealer:
             return SearchState.from_prefix(n, partials[seed, stop_len])
 
         monkeypatch.setattr(anneal, "_anneal_py", cached_anneal_py)
-        for (seed, handoff, budget), got in zip(calls, compiled):
-            assert anneal._attempt_py(n, seed, length, handoff, budget) == got, (
-                seed, handoff, budget)
-        assert n < 3 or any(outcome < 1 for *_, outcome in compiled)  # best partials too
+        for (seed, count, handoff, budget), got in zip(calls, compiled):
+            assert anneal._hunt_py(n, seed, count, length, handoff, budget) == got, (
+                seed, count, handoff, budget)
+        # best partials and whole batches too
+        assert n < 3 or any(outcome < 1 for *_, outcome in compiled) and any(
+            made == 7 for made, *_ in compiled)
+
+    @pytest.mark.parametrize("first,count", [
+        (-3, 8),  # crosses 0
+        (2**32 - 3, 6),  # the key grows from one word to two
+        (-(2**32) - 2, 4),  # and shrinks from two to one
+        (2**64 - 2, 4),
+    ])
+    @pytest.mark.parametrize("n,mode", [(4, "open"), (5, "cyclic"), (5, "open")])
+    def test_batch_seeds_step_as_ints(self, first, count, n, mode):
+        # every prefix of the batch on both paths, so each seed in it is the
+        # last attempt's once; budget 1 runs them all, no budget may stop early
+        config = AnnealConfig(n=n, mode=mode)
+        for budget in (1, 0):
+            for c in range(1, count + 1):
+                call = n, first, c, config.complete_length, config.handoff, budget
+                assert anneal._kernel()(*call) == anneal._hunt_py(*call), (budget, c)
+
+    @pytest.mark.parametrize("n,mode,base,restarts", [
+        (5, "cyclic", -1, 200), (5, "open", -2, 200), (6, "cyclic", -3, 100),
+        (4, "open", -(2**40), 200), (3, "cyclic", 0, anneal._CHUNK + 3),
+    ])
+    def test_hunt_matches_the_python_hunt(self, n, mode, base, restarts, monkeypatch):
+        # negative base seeds, and a 3-bit cyclic hunt that never finds a
+        # code and so runs two batches
+        config = AnnealConfig(n=n, mode=mode, rng_seed=base, restarts=restarts)
+        compiled = hunt(config)
+        monkeypatch.setattr(anneal, "_kernel", lambda: anneal._hunt_py)
+        python = hunt(config)
+        assert (compiled.found, compiled.attempts, compiled.winning_seed,
+                compiled.best_partial_length) == (
+            python.found, python.attempts, python.winning_seed, python.best_partial_length)
 
     test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
     test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
@@ -333,7 +368,7 @@ class TestPythonAnnealer:
 
     @pytest.fixture(autouse=True)
     def python(self, monkeypatch):
-        monkeypatch.setattr(anneal, "_kernel", lambda: anneal._attempt_py)
+        monkeypatch.setattr(anneal, "_kernel", lambda: anneal._hunt_py)
 
     test_random_stream_is_pinned = TestHunt.test_random_stream_is_pinned
     test_six_bit_stream_is_pinned = TestHunt.test_six_bit_stream_is_pinned
@@ -345,12 +380,39 @@ class TestPythonAnnealer:
 def test_illegal_kernel_partial_is_an_error(monkeypatch):
     # 0 then 0 dequeues back to word 0 before every word is visited: as the
     # best partial (no completion) and as the code an attempt found
-    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, seed, length, handoff, budget: (
-        2, bytes(length), 1, 1))
+    monkeypatch.setattr(anneal, "_kernel", lambda: lambda n, first, count, length, handoff,
+                        budget: (1, 2, bytes(length), 1, 1))
     for call in (lambda: anneal_partial(AnnealConfig(n=3)), lambda: hunt(AnnealConfig(n=3))):
         with pytest.raises(RuntimeError, match="illegal sequence") as raised:
             call()
         assert isinstance(raised.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("restarts,wins", [
+    (2 * anneal._CHUNK + 5, None), (2 * anneal._CHUNK + 5, anneal._CHUNK + 2),
+    (anneal._CHUNK, anneal._CHUNK - 1), (3, 0),
+])
+def test_hunt_asks_for_each_seed_once_in_order(restarts, wins, monkeypatch):
+    # a fake kernel that records the seeds of each batch and finds the
+    # 1-bit cyclic code 00 at attempt wins, if any
+    base, batches = -2, []
+    win = None if wins is None else base * 1_000_003 + wins
+
+    def run(n, first, count, length, handoff, budget):
+        batches.append(range(first, first + count))
+        if win in batches[-1]:
+            return win - first + 1, 2, b"\0\0", 2, 1
+        return count, 1, b"\0\0", count, 0
+
+    monkeypatch.setattr(anneal, "_kernel", lambda: run)
+    result = hunt(AnnealConfig(n=1, rng_seed=base, restarts=restarts))
+    asked = [seed for batch in batches for seed in batch]
+    end = restarts if wins is None else min(restarts, (wins // anneal._CHUNK + 1) * anneal._CHUNK)
+    assert asked == list(range(base * 1_000_003, base * 1_000_003 + end))
+    assert all(len(batch) <= anneal._CHUNK for batch in batches)
+    assert (result.attempts, result.winning_seed) == (
+        (restarts, None) if wins is None else (wins + 1, win))
+    assert str(result.found) == ("None" if wins is None else "00")
 
 
 @pytest.mark.parametrize("broken", ["no-cc", "failing-cc", "unwritable-cache"])
@@ -370,7 +432,7 @@ def test_hunt_falls_back_when_the_kernel_cannot_be_built(broken, fresh_kernel, m
     for _ in range(2):
         result = hunt(AnnealConfig(n=5, mode="cyclic", rng_seed=11))
         assert (str(result.found), result.attempts) == ("41203414202304241302413102310131", 14)
-    assert anneal._kernel() is anneal._attempt_py
+    assert anneal._kernel() is anneal._hunt_py
     assert builds == [1]
     if broken != "unwritable-cache":
         assert not any((tmp_path / "cache" / "beckettgray").iterdir())  # no half-built library

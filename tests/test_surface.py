@@ -17,6 +17,7 @@ import beckettgray
 from beckettgray import cli
 from beckettgray.anneal import AnnealConfig, complete_backtrack
 from beckettgray.core import TransitionSequence
+from beckettgray.estimate import estimate_tree_size
 from beckettgray.search import EnumerationReport, SearchConfig
 
 PUBLIC_NAMES = [
@@ -90,11 +91,14 @@ def test_config_fields():
     lambda: AnnealConfig(n=5, restarts=2.0),
     lambda: AnnealConfig(n=5, completion_budget=2.5),
     lambda: AnnealConfig(n=5, seed_handoff_length=20.0),
+    lambda: estimate_tree_size(SearchConfig(3), 10.5, 1),
+    lambda: estimate_tree_size(SearchConfig(3), 10, 1.5),
 ], ids=["anneal-mode", "complete-mode", "search-mode", "search-emit", "search-prefix-n",
         "merge-n", "search-n0", "search-n40", "search-node-limit-1", "search-time-limit-1",
         "search-time-limit-nan", "anneal-restarts0", "anneal-restarts-1", "anneal-budget0",
         "search-n-float", "search-node-limit-float", "anneal-n-float", "anneal-restarts-float",
-        "anneal-budget-float", "anneal-handoff-float"])
+        "anneal-budget-float", "anneal-handoff-float", "estimate-samples-float",
+        "estimate-seed-float"])
 def test_bad_input_is_rejected(make):
     with pytest.raises(ValueError):
         make()
