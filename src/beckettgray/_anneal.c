@@ -5,10 +5,11 @@
    anneal.py builds this file with the system cc on first use and calls
    bg_hunt through ctypes, under the one batch contract of anneal._kernel;
    anneal._hunt_py, its Python twin under the same contract, is the
-   reference it follows step for step.  The generator is CPython's MT19937,
-   seeded and drawn as random.Random(seed) seeds and draws for an int seed,
-   so the kernel makes every draw the twin makes, returns the same best
-   partials and walks the same nodes.  All state but a table set once, on
+   reference it follows.  The generator is CPython's MT19937, seeded and
+   drawn as random.Random(seed) seeds and draws for an int seed, so the
+   kernel makes every draw the twin makes and returns the same best
+   partials; its completion keeps a running deficit where the twin scans
+   its counts, and walks the same nodes.  All state but a table set once, on
    load, lives in the call: ctypes releases the GIL around it. */
 
 #include <math.h>
@@ -144,9 +145,10 @@ static void descend(search_state *s, mt_state *r, int stop_at) {
     }
 }
 
-/* search._degrees: the available neighbours of each unvisited word (the
-   unvisited ones, the current word, and word 0 for a cycle) in avail, and
-   the deficit, the sum of 2 - count over the words with fewer than two */
+/* search._degrees' counts for the unvisited words (the available neighbours:
+   unvisited ones, the current word, and word 0 for a cycle) in avail; returns
+   the deficit, the sum of 2 - count over those with fewer than two, which
+   passes the slack exactly when the walk's rule finds a node dead */
 static int degrees(const search_state *s, uint8_t *avail, int cyclic) {
     uint32_t words = 1U << s->n;
     int deficit = 0, a;

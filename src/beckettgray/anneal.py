@@ -270,6 +270,9 @@ def complete_backtrack(
     """
     if mode not in ("cyclic", "open"):
         raise ValueError(f"bad mode {mode!r}")
+    if budget is not None and (not isinstance(budget, int) or budget < 1):
+        # as AnnealConfig's completion_budget: 0 would drop a complete prefix
+        raise ValueError(f"budget={budget!r} is not an int >= 1")
     try:
         state = SearchState.from_prefix(prefix.n, prefix)
     except ValueError:

@@ -39,9 +39,11 @@ def _limits(n: int, restricted_growth: bool) -> tuple[int, ...]:
                  for used in range(n + 1))
 
 
-_PAIRS = tuple((p, 1 << p) for p in range(MAX_BITS))  # shared by every row
+_BITS = tuple(1 << p for p in range(MAX_BITS))  # the words with one bit set, ascending
+_PAIRS = tuple(enumerate(_BITS))  # (symbol, bit), shared by every row
 _MAX_ROWS = 1 << 13  # rows the move table holds; every mask of up to 13 bits fits
 _rows: dict[int, tuple[tuple[int, int], ...]] = {}  # the move table: mask -> row
+_SEEN = 128  # on a visited word's count (see _degrees): never 0 or 1, and + MAX_BITS fits a byte
 
 
 def _row(mask: int) -> tuple[tuple[int, int], ...]:
@@ -59,41 +61,21 @@ def _row(mask: int) -> tuple[tuple[int, int], ...]:
     return row
 
 
-@functools.cache
-def _one_bits(n: int) -> tuple[int, ...]:
-    """The words of n bits with one bit set, in ascending order."""
-    return tuple(1 << p for p in range(n))
-
-
-def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> tuple[bytearray, int]:
-    """Available neighbours of each unvisited word, and their total deficit.
+def _degrees(n: int, visited: bytearray, word: int, cyclic: bool) -> bytearray:
+    """Per word, its available neighbours, plus ``_SEEN`` if it is visited.
 
     A neighbour is available if it is unvisited, the current ``word``, or,
     for a cycle, word 0.  A Hamilton path from ``word`` through every
     unvisited word (closed at 0 for a cycle) enters and leaves each of them
     by available neighbours, so each needs two; only an open path's end
-    word may have one.  The deficit sums ``2 - count`` over the words with
-    fewer than two: a cycle needs it 0, an open path at most 1.
+    word may have one.
     """
-    avail = bytearray(1 << n)
-    bits = _one_bits(n)
-    # the current word and word 0 are visited, so the scan below does not
-    # count them again; for a cycle at word 0 they are one word
-    for b in bits:
-        avail[word ^ b] += 1
-        if cyclic and word:
-            avail[b] += 1
-    deficit = 0
-    for x in range(1 << n):
-        if not visited[x]:
-            a = avail[x]
+    bits, avail = _BITS[:n], bytearray(_SEEN * seen for seen in visited)
+    for y, seen in enumerate(visited):
+        if not seen or y == word or cyclic and not y:  # y is available to its neighbours
             for b in bits:
-                if not visited[x ^ b]:
-                    a += 1
-            avail[x] = a
-            if a < 2:
-                deficit += 2 - a
-    return avail, deficit
+                avail[y ^ b] += 1
+    return avail
 
 
 @dataclass(frozen=True)
@@ -248,9 +230,12 @@ class SearchState:
         included, below which no code of that kind can be completed, by
         the degree rule of ``_degrees``: the words not yet visited must
         still admit a Hamilton path from the current word, closed at 0
-        when cyclic.  Such a node is yielded but not expanded, so no
-        completion is lost and their order is kept.  The counts are built
-        once and then updated in O(n) per step.
+        when cyclic.  A node is dead when some unvisited word has no
+        available neighbour, or more have one than the slack allows (0
+        cyclic, 1 open); it is yielded but not expanded, so no completion
+        is lost and their order is kept.  The counts are built once, then
+        updated in O(n) per step and read by two C-level scans per step
+        (``count``, a slower call, only once a 1 is found).
 
         ``gray`` walks under the Gray rule: any set bit may be cleared, so
         a node's mask is ``limit`` alone and the visited test filters the
@@ -273,9 +258,9 @@ class SearchState:
             if n > 1:  # the 1-bit cycle uses its one edge twice
                 cyclic = prune == "cyclic"
                 slack = 0 if cyclic else 1  # an open path's end word needs only one
-                bits = _one_bits(n)
-                avail, deficit = _degrees(n, visited, word, cyclic)
-                if deficit > slack:
+                bits = _BITS[:n]
+                avail = _degrees(n, visited, word, cyclic)
+                if 0 in avail or 1 in avail and avail.count(1) > slack:
                     stop = depth
         try:
             while True:
@@ -303,17 +288,12 @@ class SearchState:
                             # neighbours of the word it was entered from
                             # regain that one
                             if word:
-                                a = avail[word]
-                                if a < 2:
-                                    deficit += 2 - a
+                                avail[word] -= _SEEN
                             u = word ^ 1 << p
                             if u or not cyclic:
                                 for b in bits:
                                     if not visited[u ^ b]:
-                                        a = avail[u ^ b]
-                                        avail[u ^ b] = a + 1
-                                        if a < 2:
-                                            deficit -= 1
+                                        avail[u ^ b] += 1
                         if word >> p & 1:
                             queue.pop()
                         if word:
@@ -342,15 +322,11 @@ class SearchState:
                     if u or not cyclic:
                         for b in bits:
                             if not visited[u ^ b]:
-                                a = avail[u ^ b] - 1
-                                avail[u ^ b] = a
-                                if a < 2:
-                                    deficit += 1
+                                avail[u ^ b] -= 1
                     if word:  # the new word leaves the unvisited ones
-                        a = avail[word]
-                        if a < 2:
-                            deficit -= 2 - a
-                    stop = max_depth if deficit <= slack else depth
+                        avail[word] += _SEEN
+                    stop = (depth if 0 in avail or 1 in avail and avail.count(1) > slack
+                            else max_depth)
         finally:
             self.word, self.used = word, used
 
@@ -476,6 +452,8 @@ def split_tree(n: int, depth: int, prefix: Optional[TransitionSequence] = None,
     partition the nodes at and below that depth, and summing shard
     reports gives the unsplit code counts.
     """
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"split depth={depth!r} is not an int >= 0")
     if depth > 12 and n > 5:  # the whole tree for n <= 5 has 537,326 nodes
         raise ValueError("split depth limited to 12 for n > 5")
     state = SearchState.from_prefix(n, prefix)
@@ -511,8 +489,8 @@ def enumerate_gray_cycles_small(n: int) -> list[WordPath]:
     Each returned path is closed (2^n + 1 words, first == last == 0); both
     orientations of every undirected cycle are returned.
     """
-    if n > 4:
-        raise ValueError("cycle enumeration limited to n <= 4")
+    if not isinstance(n, int) or not 1 <= n <= 4:
+        raise ValueError(f"cycle enumeration limited to n in [1, 4], not {n!r}")
     state = SearchState(n)
     return [apply_transitions(0, state.sequence())
             for depth in state.walk(1 << n, restricted_growth=False, gray=True)

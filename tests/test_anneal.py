@@ -59,6 +59,19 @@ def replayed_hunt(config):
     return None, config.restarts, None, best
 
 
+_ANNEAL_PY = anneal._anneal_py  # the real one, which a test may patch over
+_python_partials: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+
+
+def python_partial(n, seed, length, stop_len):
+    """The symbols of ``_anneal_py``'s best partial, annealed once per session
+    for every test that asks: a full schedule takes about a second."""
+    key = n, seed, length, stop_len
+    if key not in _python_partials:
+        _python_partials[key] = tuple(_ANNEAL_PY(*key).seq)
+    return _python_partials[key]
+
+
 def _fields(state):
     return {name: getattr(state, name) for name in SearchState.__slots__}
 
@@ -286,7 +299,7 @@ class TestCompiledAnnealer:
         for seed in LONG_SEEDS:
             config = AnnealConfig(n=n, mode=mode, rng_seed=seed)
             length = config.complete_length
-            assert anneal_partial(config) == anneal._anneal_py(n, seed, length, length).sequence()
+            assert anneal_partial(config).symbols == python_partial(n, seed, length, length)
 
     @pytest.mark.parametrize("mode", ["cyclic", "open"])
     @pytest.mark.parametrize("n", range(1, 8))
@@ -308,16 +321,9 @@ class TestCompiledAnnealer:
                  for seed in seeds for count in counts]
         compiled = [anneal._kernel()(n, seed, count, length, handoff, budget)
                     for seed, count, handoff, budget in calls]
-        # the twin, with each partial annealed once for all the budgets
-        partials = {}
-        anneal_py = anneal._anneal_py
-
-        def cached_anneal_py(n, seed, length, stop_len):
-            if (seed, stop_len) not in partials:
-                partials[seed, stop_len] = anneal_py(n, seed, length, stop_len).seq
-            return SearchState.from_prefix(n, partials[seed, stop_len])
-
-        monkeypatch.setattr(anneal, "_anneal_py", cached_anneal_py)
+        # the twin, with each partial annealed once for all the budgets and tests
+        monkeypatch.setattr(anneal, "_anneal_py", lambda *key: SearchState.from_prefix(
+            key[0], python_partial(*key)))
         for (seed, count, handoff, budget), got in zip(calls, compiled):
             assert anneal._hunt_py(n, seed, count, length, handoff, budget) == got, (
                 seed, count, handoff, budget)

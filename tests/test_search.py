@@ -280,6 +280,12 @@ class TestGrayCycleEnumeration:
         with pytest.raises(ValueError):
             enumerate_gray_cycles_small(5)
 
+    @pytest.mark.parametrize("n", [0, -1, 5, 2.5])
+    def test_message_names_the_range(self, n):
+        # 0 gave no cycle, -1 a negative shift count and 2.5 a TypeError
+        with pytest.raises(ValueError, match=r"\[1, 4\]"):
+            enumerate_gray_cycles_small(n)
+
 
 class TestBudgets:
     def test_node_limit_marks_truncated(self):

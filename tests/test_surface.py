@@ -16,9 +16,13 @@ import pytest
 import beckettgray
 from beckettgray import cli
 from beckettgray.anneal import AnnealConfig, complete_backtrack
-from beckettgray.core import TransitionSequence
+from beckettgray.core import TransitionSequence, parse_symbols
 from beckettgray.estimate import estimate_tree_size
-from beckettgray.search import EnumerationReport, SearchConfig
+from beckettgray.search import (
+    EnumerationReport, SearchConfig, count_shallow_nodes, split_prefixes, split_tree,
+)
+
+FULL_5 = parse_symbols(5, "01020132010432104342132340412304")
 
 PUBLIC_NAMES = [
     "AnnealConfig", "BeckettClassification", "BeckettKind", "BeckettViolation",
@@ -93,12 +97,22 @@ def test_config_fields():
     lambda: AnnealConfig(n=5, seed_handoff_length=20.0),
     lambda: estimate_tree_size(SearchConfig(3), 10.5, 1),
     lambda: estimate_tree_size(SearchConfig(3), 10, 1.5),
+    # a completion budget as AnnealConfig's: from a complete code, budget 0
+    # would report neither the code nor a proof
+    lambda: complete_backtrack(FULL_5, "cyclic", 0),
+    lambda: complete_backtrack(FULL_5, "cyclic", -1),
+    lambda: complete_backtrack(FULL_5, "cyclic", 2.5),
+    # a negative split depth would give the root shard, a float one no shard
+    lambda: split_prefixes(3, -1),
+    lambda: split_tree(3, 2.5),
+    lambda: count_shallow_nodes(3, -1),
 ], ids=["anneal-mode", "complete-mode", "search-mode", "search-emit", "search-prefix-n",
         "merge-n", "search-n0", "search-n40", "search-node-limit-1", "search-time-limit-1",
         "search-time-limit-nan", "anneal-restarts0", "anneal-restarts-1", "anneal-budget0",
         "search-n-float", "search-node-limit-float", "anneal-n-float", "anneal-restarts-float",
         "anneal-budget-float", "anneal-handoff-float", "estimate-samples-float",
-        "estimate-seed-float"])
+        "estimate-seed-float", "complete-budget0", "complete-budget-1", "complete-budget-float",
+        "split-depth-1", "split-depth-float", "shallow-depth-1"])
 def test_bad_input_is_rejected(make):
     with pytest.raises(ValueError):
         make()
